@@ -473,6 +473,7 @@ fn main() {
                 "mem win",
                 "loads",
                 "reshard",
+                "shard derivations",
                 "verified",
             ],
             shard::shard_rows(&reports),

@@ -5,10 +5,14 @@
 //! [`ShardedUvSystem`] and one unsharded oracle over the same dataset at the
 //! dynamic-serving tuning, then reports:
 //!
-//! * **per-shard build parallel speedup** — wall-clock of building every
-//!   shard system on a scoped thread fan-out versus one at a time (on a
-//!   single-core container the ratio degenerates to ~1×, like the PR-2
-//!   batch-throughput note; the measurement is the point);
+//! * **build parallel speedup** — wall-clock of the sharded build with its
+//!   fan-outs (the router's derivation, the per-shard grid builds) on scoped
+//!   threads versus one at a time (on a single-core machine the ratio
+//!   degenerates to ~1×; the measurement is the point);
+//! * **shard derivations** — objects the shards derived themselves, summed
+//!   over the build, an update batch, an in-place domain growth and the
+//!   reshard steps. Shards index from the router's table, so this is 0; any
+//!   other value fails the process;
 //! * **halo-replication overhead** — `replication_factor − 1`: the fraction
 //!   of extra object replicas the halos cost (0 = no replication), never
 //!   negative;
@@ -26,14 +30,15 @@
 //!   snapshot round-trip covering the resulting non-uniform layout;
 //! * **verification** — routed answers (point + batch) bit-identical to the
 //!   unsharded oracle, before and after one update batch applied to both,
-//!   after each reshard step, and again after a sharded snapshot round-trip.
+//!   after an insert past the domain grows both in place, after each
+//!   reshard step, and again after a sharded snapshot round-trip.
 //!   A failure (including a lost memory win) fails the process through the
 //!   harness's exit-code path, as for churn/snapshot.
 
 use crate::churn::dynamic_config;
 use crate::workload::ExperimentScale;
 use std::time::Instant;
-use uv_core::{Method, ShardedUvSystem, UpdateBatch, UvSystem};
+use uv_core::{Method, ShardedUvSystem, UpdateBatch, UvConfig, UvSystem};
 use uv_data::{Dataset, GeneratorConfig, UncertainObject};
 use uv_geom::Point;
 
@@ -49,10 +54,11 @@ pub struct ShardReport {
     pub unsharded_build_ms: f64,
     /// Wall-clock of the full sharded build (router + shards) in ms.
     pub sharded_build_ms: f64,
-    /// Wall-clock of building every shard system one at a time, in ms.
+    /// Wall-clock of the sharded build with every fan-out sequential
+    /// (`parallel = false`), in ms.
     pub shards_sequential_ms: f64,
-    /// Wall-clock of building every shard system on a scoped thread
-    /// fan-out, in ms.
+    /// Wall-clock of the sharded build with its fan-outs on scoped threads,
+    /// in ms.
     pub shards_parallel_ms: f64,
     /// `shards_sequential_ms / shards_parallel_ms`.
     pub parallel_speedup: f64,
@@ -79,8 +85,14 @@ pub struct ShardReport {
     /// `Some(ok)` when `--reshard` ran the hot-split + cold-merge cycle;
     /// `None` when resharding was not requested.
     pub reshard_ok: Option<bool>,
+    /// Objects the shards derived themselves across the build, the update
+    /// batch, the domain growth and the reshard steps — 0, since shards
+    /// index from the router's table. Folded into [`verified`].
+    ///
+    /// [`verified`]: ShardReport::verified
+    pub shard_derivations: u64,
     /// `true` when every verification stage matched the unsharded oracle
-    /// bit-exactly and the memory gate held.
+    /// bit-exactly, no shard derived and the memory gate held.
     pub verified: bool,
 }
 
@@ -122,34 +134,20 @@ fn run_grid(
             .expect("sharded build must succeed");
     let sharded_build_ms = t.elapsed().as_secs_f64() * 1_000.0;
 
-    // Per-shard build fan-out: the same member sets, built once sequentially
-    // and once on scoped threads.
-    let member_sets: Vec<Vec<UncertainObject>> = (0..sharded.shard_count())
-        .map(|s| sharded.shard(s).objects().to_vec())
-        .collect();
-    let t = Instant::now();
-    for objects in &member_sets {
-        UvSystem::build(objects.clone(), sharded.domain(), Method::IC, config)
-            .expect("sequential shard build must succeed");
-    }
-    let shards_sequential_ms = t.elapsed().as_secs_f64() * 1_000.0;
-    let t = Instant::now();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = member_sets
-            .iter()
-            .map(|objects| {
-                let domain = sharded.domain();
-                scope.spawn(move || {
-                    UvSystem::build(objects.clone(), domain, Method::IC, config)
-                        .expect("parallel shard build must succeed")
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("shard build thread panicked");
-        }
+    // Build fan-out: the same sharded build with every fan-out sequential,
+    // then on scoped threads.
+    let timed_build = |config: UvConfig| {
+        let t = Instant::now();
+        ShardedUvSystem::build(dataset.objects.clone(), dataset.domain, Method::IC, config)
+            .expect("sharded build must succeed");
+        t.elapsed().as_secs_f64() * 1_000.0
+    };
+    let shards_sequential_ms = timed_build(UvConfig {
+        parallel: false,
+        ..config
     });
-    let shards_parallel_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    let shards_parallel_ms = timed_build(config);
+    let mut shard_derivations = sharded.shard_derivations();
 
     let halo_overhead = sharded.replication_factor() - 1.0;
     let queries = dataset.query_points(scale.queries.max(8), 4_096 + grid as u64);
@@ -170,6 +168,21 @@ fn run_grid(
     sharded.apply(batch.clone()).expect("sharded batch applies");
     oracle.apply(batch).expect("oracle batch applies");
     verified &= answers_match(&sharded, &oracle, &queries);
+    shard_derivations += sharded.shard_derivations();
+
+    // One insert past the north-east corner: both deployments grow their
+    // domain in place (the router re-derives everything once, every shard
+    // re-indexes from its table) and must still agree.
+    let beyond = UpdateBatch::new().insert(UncertainObject::with_gaussian(
+        n as u32 + 32,
+        Point::new(domain.max_x + 150.0, domain.max_y + 150.0),
+        20.0,
+    ));
+    let grown = sharded.apply(beyond.clone()).expect("growth batch applies");
+    oracle.apply(beyond).expect("oracle growth batch applies");
+    verified &= grown.domain_grown && sharded.domain() == oracle.domain();
+    verified &= answers_match(&sharded, &oracle, &queries);
+    shard_derivations += sharded.shard_derivations();
 
     // The reshard policy's raw inputs: every routed query and reconciliation
     // batch since the build, read lock-free off the live counters (a reshard
@@ -188,8 +201,10 @@ fn run_grid(
             .expect("maybe_reshard on a live system");
         let mut ok = split.is_some_and(|stats| !stats.rebuilt.is_empty());
         ok &= answers_match(&sharded, &oracle, &queries);
+        shard_derivations += sharded.shard_derivations();
         ok &= sharded.merge_shards(0, 1).is_ok();
         ok &= answers_match(&sharded, &oracle, &queries);
+        shard_derivations += sharded.shard_derivations();
         Some(ok)
     } else {
         None
@@ -218,6 +233,7 @@ fn run_grid(
     let router_inclusive_bytes = snapshot_bytes - router_bytes + oracle_snapshot_bytes;
     let memory_ok = snapshot_bytes < router_inclusive_bytes;
     verified &= memory_ok;
+    verified &= shard_derivations == 0;
 
     ShardReport {
         grid,
@@ -235,6 +251,7 @@ fn run_grid(
         queries_routed,
         updates_routed,
         reshard_ok,
+        shard_derivations,
         verified,
     }
 }
@@ -279,6 +296,7 @@ pub fn shard_rows(reports: &[ShardReport]) -> Vec<Vec<String>> {
                     Some(true) => "yes".into(),
                     Some(false) => "NO".into(),
                 },
+                r.shard_derivations.to_string(),
                 if r.verified {
                     "yes".into()
                 } else {
@@ -293,13 +311,13 @@ pub fn shard_rows(reports: &[ShardReport]) -> Vec<Vec<String>> {
 mod tests {
     use super::*;
 
-    /// ISSUE 5 + ISSUE 10 acceptance, scaled down for the debug-build test
-    /// budget: routed answers verify bit-exactly against the unsharded
-    /// oracle (fresh, after an update batch, after a hot split, after a
+    /// Scaled down for the debug-build test budget: routed answers verify
+    /// bit-exactly against the unsharded oracle (fresh, after an update
+    /// batch, after an in-place domain growth, after a hot split, after a
     /// cold merge, after a snapshot round-trip of the non-uniform layout),
-    /// the slim-router snapshot beats the reconstructed router-inclusive
-    /// total, the load tallies count the routed work and the speedup
-    /// statistic is reported.
+    /// no shard derives, the slim-router snapshot beats the reconstructed
+    /// router-inclusive total, the load tallies count the routed work and
+    /// the speedup statistic is reported.
     #[test]
     fn shard_experiment_verifies_and_reports_overheads() {
         let scale = ExperimentScale {
@@ -327,8 +345,9 @@ mod tests {
             assert!(report.halo_overhead >= 0.0);
             assert!(report.parallel_speedup > 0.0);
             assert!(report.snapshot_bytes > 10_000);
+            assert_eq!(report.shard_derivations, 0);
         }
         assert_eq!(shard_rows(&reports).len(), 2);
-        assert_eq!(shard_rows(&reports)[0].len(), 15);
+        assert_eq!(shard_rows(&reports)[0].len(), 16);
     }
 }

@@ -60,10 +60,17 @@ use uv_rtree::RTree;
 ///   neighbour. An object *appearing* (insert, or the destination of a
 ///   move) in sector `s` strictly farther than `seed_dists[s]` cannot
 ///   displace that sector's seed (an unseeded sector keeps `INFINITY`
-///   there, so appearances in it always re-derive), and the k-NN
-///   membership churn it causes is harmless: it evicts the k-th member,
-///   which (boundary safety) is farther than every seed and therefore no
-///   seed. An object *disappearing* (delete, or the origin of a move)
+///   there, so appearances in it always re-derive), and when it also lands
+///   beyond the *farthest* seed the k-NN membership churn it causes is
+///   harmless: it evicts the k-th member, which (boundary safety) is
+///   farther than every seed and therefore no seed, and the number of
+///   members beyond every seed stays the same. An appearance *within* the
+///   farthest seed's distance re-derives even when it displaces no seed:
+///   it evicts a member beyond every seed, and a run of such appearances
+///   would exhaust them until the farthest seed is the k-th member — the
+///   next appearance would evict it unseen. (A move that already held a
+///   slot within that distance frees the slot it takes, so only its sector
+///   gates apply.) An object *disappearing* (delete, or the origin of a move)
 ///   beyond every seed was itself no seed, and the member its departure
 ///   admits arrives at a distance at least the k-th — no seed either, but
 ///   only when **every** sector is seeded; with an unseeded sector the
@@ -179,19 +186,31 @@ impl UpdateSensitivity {
         }
     }
 
+    /// Distance of the farthest seed: the largest finite entry of
+    /// `seed_dists`.
+    fn max_seed(&self) -> f64 {
+        self.seed_dists
+            .iter()
+            .copied()
+            .filter(|d| d.is_finite())
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
     /// Seed-displacement gate, capped by the k-NN radius. `removed` states
     /// of partially-seeded subjects always hit (the admitted (k+1)-th
-    /// member could seed an unseeded sector).
+    /// member could seed an unseeded sector); appearing states hit within
+    /// the farthest seed's distance (they take the k-NN slot of a member
+    /// beyond every seed — see the type docs).
     fn seed_hit(&self, center: uv_geom::Point, mbc: &Circle, removed: bool) -> bool {
         use uv_geom::EPS;
         let d = mbc.dist_min(center);
         if d > self.knn_dist + EPS {
             return false;
         }
-        if removed && self.any_unseeded() {
-            return true;
+        if removed {
+            return self.any_unseeded() || self.sector_gate(center, mbc, d);
         }
-        self.sector_gate(center, mbc, d)
+        d <= self.max_seed() + EPS || self.sector_gate(center, mbc, d)
     }
 
     /// `true` when an object *appearing* with MBC `mbc` (an insert) can
@@ -252,6 +271,13 @@ impl UpdateSensitivity {
         // Leaving the k-NN set admits the (k+1)-th member, which could
         // seed an unseeded sector.
         if old_in && !new_in && self.any_unseeded() {
+            return ChangeImpact::Rederive;
+        }
+        // Arriving within the farthest seed's distance takes the k-NN slot
+        // of a member beyond every seed — unless the object already held a
+        // slot within that distance.
+        let max_seed = self.max_seed();
+        if new_in && d_new <= max_seed + EPS && d_old + EPS > max_seed {
             return ChangeImpact::Rederive;
         }
         if (old_in && self.sector_gate(center, old, d_old))

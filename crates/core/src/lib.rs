@@ -26,15 +26,17 @@
 //!   a versioned, checksummed binary format and loaded back query-ready in
 //!   `O(bytes)` with zero re-derivation — the *build once, query many* cost
 //!   model made durable across process restarts.
-//! * [`router`] — the derivation-only update authority beyond the paper:
-//!   the object set, an index-only R-tree and the per-object sensitivity
-//!   tables, with no UV-grid, leaf pages or object-store pages — the slim
-//!   state the sharded layer routes updates through, at a fraction of a
-//!   full system's footprint.
+//! * [`router`] — the derivation pipeline beyond the paper: the one
+//!   implementation of an update's derivation half (validation, net diff,
+//!   domain growth, affected set, re-derivation, dirty diff) over the
+//!   object set, an R-tree and the per-object sensitivity tables, with no
+//!   UV-grid, leaf pages or object-store pages. Every [`UvSystem`] owns one;
+//!   the sharded layer owns one for the whole dataset.
 //! * [`shard`] — domain-sharded serving beyond the paper: the domain split
-//!   into an `nx × ny` grid of shard rectangles, each served by its own
-//!   system over a halo-replicated object subset, with queries routed by
-//!   point ownership and answers bit-identical to the unsharded system.
+//!   into an `nx × ny` grid of shard rectangles, each indexing its
+//!   halo-replicated object subset from the router's table (shards never
+//!   derive), with queries routed by point ownership and answers
+//!   bit-identical to the unsharded system.
 //!   Elastic resharding splits hot shards and merges cold ones online,
 //!   driven by per-shard load tallies, without breaking bit-identity or
 //!   live subscription delta chains.

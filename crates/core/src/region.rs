@@ -113,14 +113,7 @@ impl PossibleRegion {
         // Trace new boundary segments along the boundary of the intersection
         // of every constraint applied so far (plus the new one), so a new
         // UV-edge never re-introduces area removed by an earlier one.
-        let constraints = &self.constraints;
-        let trace = |p: Point| {
-            let mut m = outside.keep_signed(p);
-            for c in constraints {
-                m = m.min(c.keep_signed(p));
-            }
-            m
-        };
+        let trace = |p: Point| trace_value(self.subject, other, &self.constraints, p);
         let clipped = clip_keep_traced_with(
             self.polygon.vertices(),
             &self.polygon,
@@ -168,9 +161,70 @@ impl PossibleRegion {
     }
 }
 
+/// The minimum of the keep predicates of `other` and every constraint at
+/// `p`. All of them share the subject, so the subject's `distmin` is taken
+/// once and subtracted from the smallest `distmax`: `fl(a − b)` is monotone
+/// in `a`, so this equals the minimum of the per-constraint differences up
+/// to the sign of a zero, which no caller distinguishes.
+fn trace_value(subject: Circle, other: Circle, constraints: &[OutsideRegion], p: Point) -> f64 {
+    let mut dist_max = other.dist_max(p);
+    for c in constraints {
+        dist_max = dist_max.min(c.other.dist_max(p));
+    }
+    dist_max - subject.dist_min(p)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The trace predicate [`trace_value`] replaced: the minimum of the
+    /// per-constraint keep predicates.
+    fn reference_trace(
+        subject: Circle,
+        other: Circle,
+        constraints: &[OutsideRegion],
+        p: Point,
+    ) -> f64 {
+        let mut m = OutsideRegion::new(subject, other).keep_signed(p);
+        for c in constraints {
+            m = m.min(c.keep_signed(p));
+        }
+        m
+    }
+
+    fn circle_in(range: f64) -> impl Strategy<Value = Circle> {
+        (-range..range, -range..range, 0.0..40.0f64)
+            .prop_map(|(x, y, r)| Circle::new(Point::new(x, y), r))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// One `distmin` and the smallest `distmax` give the replaced
+        /// predicate's value — equal, and with the same sign, at every point.
+        #[test]
+        fn trace_value_matches_the_reference(
+            subject in circle_in(200.0),
+            other in circle_in(500.0),
+            others in prop::collection::vec(circle_in(500.0), 0..12),
+            p in (-600.0..600.0f64, -600.0..600.0f64).prop_map(|(x, y)| Point::new(x, y)),
+        ) {
+            let constraints: Vec<OutsideRegion> =
+                others.iter().map(|o| OutsideRegion::new(subject, *o)).collect();
+            let fast = trace_value(subject, other, &constraints, p);
+            let slow = reference_trace(subject, other, &constraints, p);
+            prop_assert_eq!(fast, slow);
+            prop_assert_eq!(fast >= 0.0, slow >= 0.0);
+            // On a constraint's own UV-edge the two may only differ in the
+            // sign of zero.
+            let on_subject = subject.center;
+            let fast = trace_value(subject, other, &constraints, on_subject);
+            let slow = reference_trace(subject, other, &constraints, on_subject);
+            prop_assert_eq!(fast, slow);
+        }
+    }
 
     fn domain() -> Rect {
         Rect::square(1000.0)

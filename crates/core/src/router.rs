@@ -1,45 +1,51 @@
-//! The derivation-only router: the sharded serving layer's update authority,
-//! slimmed to exactly the state that routing decisions consume.
+//! The derivation pipeline: the one place that derives reference sets and
+//! applies update batches to them (steps 1–8 of an apply), for the
+//! unsharded system and the sharded layer alike.
 //!
-//! PR 7's sharded layer kept **one full [`crate::UvSystem`]** as its router — grid,
-//! leaf pages and object-store pages included — purely to answer two
-//! questions per update batch: *which objects does this change affect*
-//! (the [`crate::crobjects::UpdateSensitivity`] tables) and *what are the
-//! re-derived objects' new influence disks* (geometry + sensitivity again).
-//! Neither question ever touches a UV-grid leaf or an object-store page;
-//! the shards hold their own full systems and serve every query. The router
-//! duplicated the entire unsharded footprint for nothing.
-//!
-//! [`DerivationRouter`] is the refactor that removes the duplication. It
-//! holds **no UV-grid, no leaf pages, no object-store pages** — only:
+//! A [`DerivationRouter`] holds exactly the state a derivation reads and
+//! writes, and nothing a query touches:
 //!
 //! * the live object set and the indexed domain;
-//! * an *index-only* R-tree ([`uv_rtree::RTree::build_index_only`]): the
-//!   STR packing over the objects with null record pointers, enough for the
-//!   k-NN and range probes the derivation makes, with zero page payload
-//!   (`derive_subset` never dereferences an entry pointer);
+//! * an R-tree over the objects for the k-NN and range probes of
+//!   Algorithm 2 (`derive_subset` never dereferences an entry pointer, so a
+//!   standalone router packs an *index-only* tree,
+//!   [`uv_rtree::RTree::build_index_only`], with zero page payload);
 //! * the per-object reference-set / sensitivity table
 //!   ([`crate::update::ObjectState`]) — the affected-object oracle;
 //! * configuration, construction method and the epoch counter.
 //!
+//! [`crate::UvSystem`] owns one (over its own objects, with a record-pointer
+//! R-tree) and runs grid repair on what it reports;
+//! [`crate::ShardedUvSystem`] owns one over the whole dataset and repairs
+//! every shard's grid from it. Neither derives anywhere else.
+//!
 //! # Correctness contract
 //!
-//! [`DerivationRouter::apply`] runs the **same pipeline as
-//! [`crate::UvSystem::apply`] steps 1–8**: identical op validation (shared
-//! `validate_object`), identical net-diff computation, identical in-place
-//! domain growth (shared `grow_domain`), identical affected-set expansion
-//! through the sensitivity bounds and identical re-derivation through
-//! `crate::builder::derive_subset` — the derivation reads only R-tree
-//! probes, objects and the domain, all of which the router keeps
-//! bit-identical to the full system's. Steps 9–10 (grid repair, budget
-//! reconciliation) have no grid to act on and are skipped: every leaf
-//! counter in the returned [`UpdateStats`] is zero and
-//! [`UpdateStats::refine_fraction`] is meaningless for a router — answers
-//! come from the shards. Everything the sharded layer consumes —
-//! `rederived_ids`, the net diff, `domain_grown`, the updated sensitivity
-//! table — is bit-identical to what a full [`crate::UvSystem`] would have
-//! produced, which is what keeps sharded answers bit-identical to the
-//! unsharded oracle (property-tested in `tests/proptest_shard.rs`).
+//! [`DerivationRouter::apply`] *is* the update pipeline's derivation half:
+//!
+//! 1. validate every op against a shadow of the object set (nothing mutates
+//!    on error);
+//! 2. compute the net difference;
+//! 3. apply it to the object vector;
+//! 4. re-index (the caller's object store and R-tree — a standalone router
+//!    repacks its index-only tree);
+//! 5. grow the domain in place when the difference left it, re-deriving
+//!    every object (the derivation is domain-seeded);
+//! 6. expand the affected set through the sensitivity bounds;
+//! 7. re-derive it with `crate::builder::derive_subset`;
+//! 8. diff the derivations into the dirty set — the live objects whose
+//!    Algorithm 5 overlap inputs changed.
+//!
+//! The crate-internal `Change` record it returns (net diff, dirty ids,
+//! re-derived ids, `domain_grown`) is all a grid needs for steps 9–10:
+//! [`crate::UvSystem::apply`] repairs its grid from it, and the sharded
+//! layer repairs every shard's grid from the *same* record, restricted to
+//! the shard's halo members. Because the derivation reads only R-tree
+//! probes, objects and the domain, the table is a pure function of the
+//! object set — whichever tree packing the caller re-indexes with — and a
+//! cold derivation of the final object set reproduces it bit-for-bit
+//! (property-tested in `tests/proptest_update.rs` and
+//! `tests/proptest_shard.rs`).
 //!
 //! # Persistence
 //!
@@ -55,6 +61,7 @@
 
 use crate::builder::{derive_subset, Method};
 use crate::config::UvConfig;
+use crate::crobjects::ChangeImpact;
 use crate::snapshot::{read_object_state, write_object_state};
 use crate::update::{
     grow_domain, validate_object, ObjectState, RefTable, UpdateBatch, UpdateOp, UpdateStats,
@@ -63,24 +70,64 @@ use crate::UvError;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
-use uv_data::{ObjectId, UncertainObject};
+use std::time::{Duration, Instant};
+use uv_data::{ObjectId, ObjectStore, UncertainObject};
 use uv_geom::{Circle, Point, Rect};
 use uv_rtree::RTree;
 use uv_store::codec::{Decode, Encode};
 use uv_store::PageStore;
 
-/// Derives the reference table of `objects` from scratch — the router's
-/// analogue of the builder's Phase A, without the grid phases.
-fn derive_ref_table(
+/// Timings and pruning ratios of one full derivation pass — construction
+/// Phase A, or the re-derivation a domain growth forces.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DerivationReport {
+    /// Wall-clock time of the pass.
+    pub(crate) wall: Duration,
+    /// I+C pruning time, scaled from summed per-object CPU time onto the
+    /// pass's wall time (so parallel derivations stay consistent).
+    pub(crate) pruning: Duration,
+    /// Exact-cell refinement time (ICR and Basic), scaled the same way.
+    pub(crate) refinement: Duration,
+    /// Mean I-pruning ratio over the derived objects.
+    pub(crate) avg_i_ratio: f64,
+    /// Mean C-pruning ratio over the derived objects.
+    pub(crate) avg_c_ratio: f64,
+}
+
+/// Derives the reference table of every object in `objects` over `rtree`,
+/// which must index exactly `objects`.
+pub(crate) fn derive_table(
     objects: &[UncertainObject],
     rtree: &RTree,
     domain: &Rect,
     config: &UvConfig,
     method: Method,
-) -> RefTable {
+) -> (RefTable, DerivationReport) {
+    let t = Instant::now();
+    // One id -> object map for the whole pass: ICR refinement resolves every
+    // cr-id through it instead of scanning `objects` per id.
     let by_id: HashMap<ObjectId, &UncertainObject> = objects.iter().map(|o| (o.id, o)).collect();
     let subjects: Vec<&UncertainObject> = objects.iter().collect();
-    derive_subset(&subjects, objects, &by_id, rtree, domain, config, method)
+    let per_object = derive_subset(&subjects, objects, &by_id, rtree, domain, config, method);
+    let wall = t.elapsed();
+
+    let n = objects.len().max(1) as f64;
+    let prune_sum: Duration = per_object.iter().map(|p| p.prune_time).sum();
+    let refine_sum: Duration = per_object.iter().map(|p| p.refine_time).sum();
+    let cpu_sum = prune_sum + refine_sum;
+    let scale = if cpu_sum.is_zero() {
+        0.0
+    } else {
+        wall.as_secs_f64() / cpu_sum.as_secs_f64()
+    };
+    let report = DerivationReport {
+        wall,
+        pruning: prune_sum.mul_f64(scale),
+        refinement: refine_sum.mul_f64(scale),
+        avg_i_ratio: per_object.iter().map(|p| p.prune.i_ratio()).sum::<f64>() / n,
+        avg_c_ratio: per_object.iter().map(|p| p.prune.c_ratio()).sum::<f64>() / n,
+    };
+    let table = per_object
         .into_iter()
         .map(|p| {
             (
@@ -91,13 +138,97 @@ fn derive_ref_table(
                 },
             )
         })
-        .collect()
+        .collect();
+    (table, report)
 }
 
-/// The sharded layer's update authority: object set, domain, an index-only
+/// A net object-set difference: what one batch does to the router's
+/// objects, or what one routed batch does to a shard's replicas.
+pub(crate) struct NetDiff<'a> {
+    /// Deleted ids, ascending.
+    pub(crate) deleted: &'a [ObjectId],
+    /// New states of the changed objects, ascending by id.
+    pub(crate) changed: Vec<&'a UncertainObject>,
+    /// Inserted objects, ascending by id.
+    pub(crate) inserted: Vec<&'a UncertainObject>,
+}
+
+impl NetDiff<'_> {
+    /// `true` when the difference changes nothing.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.deleted.is_empty() && self.changed.is_empty() && self.inserted.is_empty()
+    }
+
+    /// Applies the difference to an object vector: deleted objects drop
+    /// out, changed ones take their new state in place, inserts append.
+    pub(crate) fn apply_to(&self, objects: &mut Vec<UncertainObject>) {
+        let gone: HashSet<ObjectId> = self.deleted.iter().copied().collect();
+        objects.retain(|o| !gone.contains(&o.id));
+        for o in objects.iter_mut() {
+            if let Ok(k) = self.changed.binary_search_by_key(&o.id, |c| c.id) {
+                *o = self.changed[k].clone();
+            }
+        }
+        objects.extend(self.inserted.iter().map(|o| (*o).clone()));
+    }
+
+    /// Applies the difference to `store` — deletes, then changes, then
+    /// inserts, each in id order, since the order fixes the page layout —
+    /// and packs a record-pointer R-tree over `objects` (the updated set)
+    /// into `pages`.
+    pub(crate) fn reindex(
+        &self,
+        store: &mut ObjectStore,
+        objects: &[UncertainObject],
+        pages: Arc<PageStore>,
+    ) -> RTree {
+        for id in self.deleted {
+            store.remove(*id);
+        }
+        for o in &self.changed {
+            store.update(o);
+        }
+        for o in &self.inserted {
+            store.insert(o);
+        }
+        RTree::build(objects, store, pages)
+    }
+}
+
+/// What one applied batch changed — the crate-internal record every grid
+/// repair consumes (steps 9–10 of an apply).
+#[derive(Debug, Default)]
+pub(crate) struct Change {
+    /// The router's statistics: net counts, affected-set counters,
+    /// `rederived_ids`, `domain_grown` and the epoch. Leaf counters are
+    /// zero (there is no grid here).
+    pub(crate) stats: UpdateStats,
+    /// Net inserted ids, ascending.
+    pub(crate) inserted: Vec<ObjectId>,
+    /// Net deleted ids, ascending.
+    pub(crate) deleted: Vec<ObjectId>,
+    /// Ids whose object state changed (moves, or a delete + re-insert with
+    /// different geometry), ascending.
+    pub(crate) changed: Vec<ObjectId>,
+    /// Pre-existing live objects whose Algorithm 5 overlap inputs changed —
+    /// own MBC, reference id list, or a referenced object's MBC —
+    /// ascending. Empty after domain growth, which rebuilds every grid.
+    pub(crate) dirty: Vec<ObjectId>,
+    /// The full re-derivation's report when the domain grew.
+    pub(crate) regrown: Option<DerivationReport>,
+}
+
+impl Change {
+    /// `true` when the batch's net difference was empty (nothing changed,
+    /// the epoch did not advance).
+    pub(crate) fn is_noop(&self) -> bool {
+        self.inserted.is_empty() && self.deleted.is_empty() && self.changed.is_empty()
+    }
+}
+
+/// The update pipeline's derivation half (steps 1–8): object set, domain,
 /// R-tree and the per-object sensitivity table — and nothing else. See the
-/// [module docs](crate::router) for why this replaces the full
-/// [`crate::UvSystem`] PR 7 routed through.
+/// [module docs](crate::router).
 #[derive(Debug)]
 pub struct DerivationRouter {
     pub(crate) objects: Vec<UncertainObject>,
@@ -107,13 +238,14 @@ pub struct DerivationRouter {
     pub(crate) config: UvConfig,
     pub(crate) method: Method,
     pub(crate) epoch: u64,
+    /// Objects derived since construction (build, re-derivations, growth).
+    pub(crate) derivations: u64,
 }
 
 impl DerivationRouter {
-    /// Builds a router over `objects`: validates the configuration, packs
-    /// the index-only R-tree and derives every object's reference set and
-    /// sensitivity — exactly the derivation [`crate::UvSystem::build`] performs,
-    /// minus the grid construction.
+    /// Builds a standalone router over `objects`: validates the
+    /// configuration, packs an index-only R-tree and derives every object's
+    /// reference set and sensitivity.
     pub fn build(
         objects: Vec<UncertainObject>,
         domain: Rect,
@@ -122,8 +254,21 @@ impl DerivationRouter {
     ) -> Result<Self, UvError> {
         config.validate()?;
         let rtree = RTree::build_index_only(&objects, Arc::new(PageStore::new()));
-        let ref_table = derive_ref_table(&objects, &rtree, &domain, &config, method);
-        Ok(Self {
+        Ok(Self::derive(objects, domain, rtree, method, config).0)
+    }
+
+    /// Derives every object's reference set over `rtree` (which must index
+    /// exactly `objects`); the configuration must already be validated.
+    pub(crate) fn derive(
+        objects: Vec<UncertainObject>,
+        domain: Rect,
+        rtree: RTree,
+        method: Method,
+        config: UvConfig,
+    ) -> (Self, DerivationReport) {
+        let (ref_table, report) = derive_table(&objects, &rtree, &domain, &config, method);
+        let derivations = objects.len() as u64;
+        let router = Self {
             objects,
             domain,
             rtree,
@@ -131,7 +276,9 @@ impl DerivationRouter {
             config,
             method,
             epoch: 0,
-        })
+            derivations,
+        };
+        (router, report)
     }
 
     /// The live object set.
@@ -155,9 +302,17 @@ impl DerivationRouter {
     }
 
     /// The update epoch: bumped once per applied batch with a non-empty net
-    /// difference, mirroring [`crate::UvSystem`]'s index epoch.
+    /// difference.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Objects this router has derived since it was built or loaded: the
+    /// build's full table, every re-derived affected set and every
+    /// domain-growth re-derivation. A shard's router installs the global
+    /// router's states instead of deriving, so its count stays zero.
+    pub fn derivations(&self) -> u64 {
+        self.derivations
     }
 
     /// The maintenance state of one object (reference ids + sensitivity),
@@ -166,19 +321,42 @@ impl DerivationRouter {
         self.ref_table.get(&id)
     }
 
-    /// Applies an update batch through the same pipeline as
-    /// [`crate::UvSystem::apply`] steps 1–8 — identical validation, net diff,
-    /// domain growth, affected-set expansion and re-derivation — without
-    /// the grid repair (there is no grid). All leaf counters in the
-    /// returned stats are zero; `rederived_ids`, the net-diff counts and
-    /// `domain_grown` are bit-identical to the full system's.
+    /// Applies an update batch: validation, net diff, domain growth,
+    /// affected-set expansion, re-derivation and the dirty diff (steps 1–8
+    /// of the update pipeline), repacking the index-only R-tree. All leaf
+    /// counters in the returned stats are zero.
     pub fn apply(&mut self, batch: UpdateBatch) -> Result<UpdateStats, UvError> {
+        Ok(self.apply_change(batch)?.stats)
+    }
+
+    /// [`DerivationRouter::apply`], returning the full change record.
+    pub(crate) fn apply_change(&mut self, batch: UpdateBatch) -> Result<Change, UvError> {
+        self.apply_with(batch, |objects, _| {
+            RTree::build_index_only(objects, Arc::new(PageStore::new()))
+        })
+    }
+
+    /// [`DerivationRouter::apply`] with a caller-supplied re-indexing step
+    /// (step 4): `reindex` receives the updated object set and the net
+    /// difference and returns the R-tree the derivation probes. The unsharded
+    /// system updates its object store there and packs record pointers; the
+    /// k-NN and range probes are identical on every packing of the same
+    /// object set.
+    pub(crate) fn apply_with(
+        &mut self,
+        batch: UpdateBatch,
+        reindex: impl FnOnce(&[UncertainObject], &NetDiff<'_>) -> RTree,
+    ) -> Result<Change, UvError> {
         let mut stats = UpdateStats {
             epoch: self.epoch,
             ..UpdateStats::default()
         };
 
-        // ---- 1. Validate by simulation (identical to UvSystem::apply) ----
+        // ---- 1. Validate by simulation -----------------------------------
+        // `overlay` shadows only what the batch touches (`Some` = new state,
+        // `None` = deleted); the untouched majority of the object set is
+        // never cloned. Nothing in `self` is mutated until the whole batch
+        // validates.
         let before: HashMap<ObjectId, &UncertainObject> =
             self.objects.iter().map(|o| (o.id, o)).collect();
         let mut overlay: HashMap<ObjectId, Option<UncertainObject>> = HashMap::new();
@@ -223,6 +401,11 @@ impl DerivationRouter {
         }
 
         // ---- 2. Net difference -------------------------------------------
+        // Also captures the old/new geometry of everything that changes or
+        // disappears, split by direction: disappearing states (deletes,
+        // move origins) and appearing states (inserts, move destinations)
+        // carry different seed-displacement hazards, which the sensitivity
+        // prefilter exploits.
         let mut deleted: Vec<ObjectId> = Vec::new();
         let mut inserted: Vec<ObjectId> = Vec::new();
         let mut changed: Vec<ObjectId> = Vec::new();
@@ -235,7 +418,7 @@ impl DerivationRouter {
                     changed.push(*id);
                     moved_mbcs.push((b.mbc(), o.mbc()));
                 }
-                (Some(_), Some(_)) => {}
+                (Some(_), Some(_)) => {} // touched but net-unchanged
                 (Some(b), None) => {
                     deleted.push(*id);
                     removed_mbcs.push(b.mbc());
@@ -244,7 +427,7 @@ impl DerivationRouter {
                     inserted.push(*id);
                     added_mbcs.push(o.mbc());
                 }
-                (None, None) => {}
+                (None, None) => {} // inserted then deleted within the batch
             }
         }
         drop(before);
@@ -255,30 +438,33 @@ impl DerivationRouter {
         stats.inserted = inserted.len();
         stats.moved = changed.len();
         if deleted.is_empty() && inserted.is_empty() && changed.is_empty() {
-            return Ok(stats);
+            return Ok(Change {
+                stats,
+                ..Change::default()
+            });
         }
         let updated = |id: &ObjectId| overlay[id].as_ref().expect("net-changed ids carry a state");
+        let diff = NetDiff {
+            deleted: &deleted,
+            changed: changed.iter().map(updated).collect(),
+            inserted: inserted.iter().map(updated).collect(),
+        };
 
         // ---- 3. Apply the net difference to the object vector ------------
-        self.objects
-            .retain(|o| !matches!(overlay.get(&o.id), Some(None)));
-        for o in self.objects.iter_mut() {
-            if changed.binary_search(&o.id).is_ok() {
-                *o = updated(&o.id).clone();
-            }
-        }
-        for id in &inserted {
-            self.objects.push(updated(id).clone());
-        }
+        diff.apply_to(&mut self.objects);
 
-        // ---- 4. Index-only R-tree rebuild --------------------------------
-        // The full system bulk-reloads its R-tree from the object store;
-        // the router has no store, so it packs the same STR layout with
-        // null record pointers into a fresh page arena. The k-NN and range
-        // probes the derivation makes are bit-identical on both trees.
-        self.rtree = RTree::build_index_only(&self.objects, Arc::new(PageStore::new()));
+        // ---- 4. Re-index -------------------------------------------------
+        // The STR packing is rebuilt from the updated object set every
+        // batch — deterministic and cheap (no UV geometry), and it
+        // guarantees re-derived objects see exactly the tree a cold build
+        // would query.
+        self.rtree = reindex(&self.objects, &diff);
+        drop(diff);
 
         // ---- 5. In-place domain growth -----------------------------------
+        // The derivation is domain-seeded (possible regions start from the
+        // domain rectangle, the hull discretisation scales with its side),
+        // so a domain change invalidates every derivation.
         let needed = inserted
             .iter()
             .chain(&changed)
@@ -288,15 +474,44 @@ impl DerivationRouter {
                 Some(acc.map_or(mbr, |a| a.union(&mbr)))
             });
         if let Some(needed) = needed {
-            let domain = grow_domain(self.domain, &needed);
-            return self.finish_with_domain_growth(stats, domain);
+            self.domain = grow_domain(self.domain, &needed);
+            let (table, report) = derive_table(
+                &self.objects,
+                &self.rtree,
+                &self.domain,
+                &self.config,
+                self.method,
+            );
+            self.ref_table = table;
+            let n = self.objects.len();
+            self.derivations += n as u64;
+            self.epoch += 1;
+            stats.domain_grown = true;
+            stats.objects_rederived = n;
+            stats.rederived_ids = self.objects.iter().map(|o| o.id).collect();
+            stats.objects_in_knn_radius = n;
+            stats.objects_repartitioned = n;
+            stats.epoch = self.epoch;
+            stats.repaired_rects = vec![self.domain];
+            return Ok(Change {
+                stats,
+                inserted,
+                deleted,
+                changed,
+                dirty: Vec::new(),
+                regrown: Some(report),
+            });
         }
 
-        // ---- 6. Affected objects (identical sensitivity walk) ------------
+        // ---- 6. Affected objects -----------------------------------------
         let changed_set: HashSet<ObjectId> = changed.iter().copied().collect();
         let inserted_set: HashSet<ObjectId> = inserted.iter().copied().collect();
         let mut affected: HashSet<ObjectId> = changed_set.union(&inserted_set).copied().collect();
         stats.objects_in_knn_radius = affected.len();
+        // Subjects whose reference id list is provably unchanged but whose
+        // referenced geometry moved: grid repair without re-derivation.
+        // Only the IC method may take this shortcut (ICR refines through
+        // the references' geometry, so its derivation must repeat).
         let mut repartition_only: Vec<ObjectId> = Vec::new();
         for o in &self.objects {
             if affected.contains(&o.id) {
@@ -304,41 +519,40 @@ impl DerivationRouter {
             }
             let sensitivity = &self.ref_table[&o.id].sensitivity;
             let c = o.center();
-            let mut impact = crate::crobjects::ChangeImpact::Unaffected;
+            let mut impact = ChangeImpact::Unaffected;
             for mbc in &removed_mbcs {
                 if sensitivity.affected_by_removed(c, mbc) {
-                    impact = crate::crobjects::ChangeImpact::Rederive;
+                    impact = ChangeImpact::Rederive;
                     break;
                 }
             }
             for mbc in &added_mbcs {
-                if impact < crate::crobjects::ChangeImpact::Rederive
-                    && sensitivity.affected_by_added(c, mbc)
-                {
-                    impact = crate::crobjects::ChangeImpact::Rederive;
+                if impact < ChangeImpact::Rederive && sensitivity.affected_by_added(c, mbc) {
+                    impact = ChangeImpact::Rederive;
                 }
             }
             for (old, new) in &moved_mbcs {
-                if impact < crate::crobjects::ChangeImpact::Rederive {
+                if impact < ChangeImpact::Rederive {
                     let mut verdict = sensitivity.move_impact(c, old, new);
-                    if verdict == crate::crobjects::ChangeImpact::RepartitionOnly
-                        && self.method != Method::IC
-                    {
-                        verdict = crate::crobjects::ChangeImpact::Rederive;
+                    if verdict == ChangeImpact::RepartitionOnly && self.method != Method::IC {
+                        verdict = ChangeImpact::Rederive;
                     }
                     impact = impact.max(verdict);
                 }
             }
             match impact {
-                crate::crobjects::ChangeImpact::Rederive => {
+                ChangeImpact::Rederive => {
                     affected.insert(o.id);
                     stats.objects_in_knn_radius += 1;
                 }
-                crate::crobjects::ChangeImpact::RepartitionOnly => {
+                ChangeImpact::RepartitionOnly => {
                     repartition_only.push(o.id);
                     stats.objects_in_knn_radius += 1;
                 }
-                crate::crobjects::ChangeImpact::Unaffected => {
+                ChangeImpact::Unaffected => {
+                    // Inside the k-NN radius but skipped by the prefilter —
+                    // counted so the churn experiment can report the saving
+                    // against the PR-3 bound.
                     if removed_mbcs
                         .iter()
                         .chain(&added_mbcs)
@@ -369,11 +583,12 @@ impl DerivationRouter {
             self.method,
         );
         stats.objects_rederived = derived.len();
+        self.derivations += derived.len() as u64;
 
         // ---- 8. Diff derivations into the dirty set ----------------------
-        // The router keeps the dirty bookkeeping (and the repartitioned
-        // count) bit-identical to the full system's even though it has no
-        // grid to repair — the sharded layer surfaces these stats.
+        // An object needs grid repair when its overlap-test inputs changed:
+        // its own MBC, its reference id list, or the MBC of an object it
+        // references.
         let mut dirty: Vec<ObjectId> = Vec::new();
         for p in derived {
             stats.rederived_ids.push(p.id);
@@ -398,64 +613,22 @@ impl DerivationRouter {
         for id in &deleted {
             self.ref_table.remove(id);
         }
+        // Repartition-only subjects skipped the derivation (their reference
+        // id lists are provably unchanged) but reference moved geometry, so
+        // their overlap tests must be re-run.
         dirty.extend_from_slice(&repartition_only);
         dirty.sort_unstable();
         stats.objects_repartitioned = dirty.len() + inserted.len() + deleted.len();
-
-        // No steps 9–10: there is no grid to repair and no budget to
-        // reconcile. Leaf counters stay zero.
         self.epoch += 1;
         stats.epoch = self.epoch;
-        Ok(stats)
-    }
-
-    /// Finishes a batch whose net difference left the old domain: adopts
-    /// the exponentially grown domain and re-derives every object under it
-    /// (the derivation is domain-seeded). Mirrors the full system's growth
-    /// path with leaf counters zeroed.
-    fn finish_with_domain_growth(
-        &mut self,
-        mut stats: UpdateStats,
-        domain: Rect,
-    ) -> Result<UpdateStats, UvError> {
-        self.domain = domain;
-        self.ref_table = derive_ref_table(
-            &self.objects,
-            &self.rtree,
-            &self.domain,
-            &self.config,
-            self.method,
-        );
-        self.epoch += 1;
-        stats.domain_grown = true;
-        stats.objects_rederived = self.objects.len();
-        stats.rederived_ids = self.objects.iter().map(|o| o.id).collect();
-        stats.objects_in_knn_radius = self.objects.len();
-        stats.objects_repartitioned = self.objects.len();
-        stats.epoch = self.epoch;
-        stats.repaired_rects = vec![self.domain];
-        Ok(stats)
-    }
-
-    /// Adopts `domain` directly (no growth policy): re-derives everything
-    /// under it and advances the epoch — the router-side analogue of
-    /// [`crate::UvSystem`]'s `grow_domain_to`, used by snapshot-load paths that
-    /// must reproduce an exact persisted domain. A no-op when `domain`
-    /// equals the current one.
-    #[allow(dead_code)]
-    pub(crate) fn grow_domain_to(&mut self, domain: Rect) {
-        if domain == self.domain {
-            return;
-        }
-        self.domain = domain;
-        self.ref_table = derive_ref_table(
-            &self.objects,
-            &self.rtree,
-            &self.domain,
-            &self.config,
-            self.method,
-        );
-        self.epoch += 1;
+        Ok(Change {
+            stats,
+            inserted,
+            deleted,
+            changed,
+            dirty,
+            regrown: None,
+        })
     }
 
     /// Serialises the router's persistent state: config, method, domain,
@@ -537,6 +710,7 @@ impl DerivationRouter {
             config,
             method,
             epoch,
+            derivations: 0,
         })
     }
 }

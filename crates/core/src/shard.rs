@@ -27,40 +27,48 @@
 //!
 //! # Why sharded answers are bit-identical
 //!
-//! A shard's UV-index is built over a *subset*, so its grid differs from the
-//! unsharded grid — but the verification step of Section V-A makes the
-//! answer a function of the *filtered candidate set*, not of the grid:
-//! `d_minmax` is attained by a possible NN of the query point (always inside
-//! the halo), and Algorithm 5 never prunes an object from a region where it
-//! can be a nearest neighbour, *whatever* reference set the overlap test
-//! used — pruning requires a concrete dominating object, and dominating
-//! objects exist identically in the shard subset and the full dataset. Every
-//! candidate that survives the `d_minmax` filter therefore survives it in
-//! both systems, and the qualification probabilities integrate over the same
-//! set. The property suite (`tests/proptest_shard.rs`) enforces this
-//! bit-exactly across {IC, ICR} × {Uniform, GaussianSkew}, before and after
-//! random update batches.
+//! A shard indexes only its halo members, so its grid differs from the
+//! unsharded grid — but it indexes them *from the router's reference
+//! table*: a member's Algorithm 5 overlap test uses exactly the reference
+//! ids and reference MBCs it has in the unsharded system (the MBCs come from
+//! the router, because a reference can lie outside the halo). A shard leaf
+//! over a region therefore holds exactly the halo members an unsharded leaf
+//! over the same region would hold. The verification step of Section V-A
+//! then makes the answer a function of the filtered candidate set, not of
+//! the grid: every possible NN of a query point is in the halo of the
+//! point's shard and passes the overlap test of every region containing the
+//! point (Algorithm 5 never prunes an object from a region where it can be
+//! a nearest neighbour), so the leaf containing the point holds all of them
+//! in either system; `d_minmax` is attained by one of them, so the surviving
+//! candidates and their qualification probabilities are the same set and
+//! the same bits. The property suite (`tests/proptest_shard.rs`) enforces
+//! this bit-exactly across {IC, ICR} × {Uniform, GaussianSkew}, before and
+//! after random update batches; a property in this module's tests checks
+//! that every maintained shard grid equals a cold grid-only build of that
+//! shard from the router's current table.
 //!
 //! # The derivation-only router
 //!
-//! [`ShardedUvSystem`] keeps a [`DerivationRouter`] — **not** a full
-//! [`UvSystem`] — as the derivation authority: the live object set, an
-//! index-only R-tree and the per-object sensitivity table, with no UV-grid,
-//! no leaf pages and no object-store pages. Its per-object sensitivity
-//! bounds yield the halo radii, and [`DerivationRouter::apply`] implements
-//! the validated, atomic global state transition through the same steps as
-//! [`UvSystem::apply`] — so everything the shards reconcile against
-//! (`rederived_ids`, the net diff, `domain_grown`) is bit-identical to what
-//! the old full-system router produced, at a fraction of its footprint
-//! (`experiments -- shard` measures the saving and gates on it). Updates
-//! first apply to the router, then reconcile each shard's membership
-//! (replica inserts/deletes plus geometry changes) through the PR-3
-//! localized repair of the shards they touch. When the router grows its
-//! domain in place ([`UpdateStats::domain_grown`]) the shard *geometry*
-//! grows with it — only the outermost axis boundaries move, interior split
-//! lines stay pinned, so interior shard rectangles are bit-unchanged and
-//! the layout survives every update batch unchanged
-//! ([`ShardedUpdateStats::resharded`] stays `false` forever).
+//! [`ShardedUvSystem`] keeps one [`DerivationRouter`] over the whole
+//! dataset — the live object set, an index-only R-tree and the per-object
+//! sensitivity table, with no UV-grid and no pages — and it is the only
+//! thing that derives. Its sensitivity bounds yield the halo radii, and
+//! [`DerivationRouter::apply`] is the validated, atomic global state
+//! transition (steps 1–8 of the update pipeline). Shards never derive:
+//! build, in-place domain growth and reshard rebuilds index each shard's
+//! halo members from the router's states (a grid-only build), and
+//! [`ShardedUvSystem::apply`] repairs each touched shard's grid from the
+//! router's change record restricted to the shard — replicas gained or
+//! lost, kept replicas whose geometry or overlap inputs changed — through
+//! the same localized repair the unsharded system runs. An object is
+//! re-derived once per batch however many halos replicate it
+//! ([`ShardedUpdateStats::per_shard`] reports `objects_rederived = 0`).
+//! When the router grows its domain in place ([`UpdateStats::domain_grown`])
+//! the shard *geometry* grows with it — only the outermost axis boundaries
+//! move, interior split lines stay pinned, so interior shard rectangles are
+//! bit-unchanged and the layout survives every update batch unchanged
+//! ([`ShardedUpdateStats::resharded`] stays `false` forever) — and every
+//! shard re-indexes the grown domain from the router's re-derived table.
 //!
 //! # Elastic resharding
 //!
@@ -70,7 +78,8 @@
 //! axis-adjacent slabs. Both keep the layout a product grid (a split divides
 //! the whole row or column; a merge fuses a whole pair), so routing stays
 //! two binary axis lookups. Only the shards whose rectangles changed are
-//! rebuilt from their halo member sets ([`ReshardStats::rebuilt`]); every
+//! re-indexed from their halo member sets and the router's table — grid
+//! construction only, no derivation ([`ReshardStats::rebuilt`]); every
 //! other shard moves wholesale — epoch, leaf structure and safe regions
 //! intact — to its new slot ([`ReshardStats::shard_map`]). Answers are
 //! bit-identical to the unsharded oracle before, during and after a
@@ -96,14 +105,16 @@
 //! `uv_store::codec` sections: the router's slim state (config, method,
 //! domain, epoch, objects and reference table; the R-tree is rebuilt on
 //! load from the object set), then one section per shard, each a complete
-//! [`UvSystem`] snapshot. Loading validates every section checksum, the
-//! grid geometry, configuration agreement and halo coverage — malformed
-//! input maps to typed [`UvError`]s, never a panic.
+//! [`UvSystem`] snapshot whose reference table holds the router's states
+//! for its members. Loading validates every section checksum, the grid
+//! geometry, configuration agreement, halo coverage and that every shard
+//! state equals the router's — malformed input maps to typed [`UvError`]s,
+//! never a panic — and derives nothing.
 
-use crate::builder::Method;
+use crate::builder::{mbcs_of, Method};
 use crate::config::UvConfig;
 use crate::engine::{trajectory_steps, QueryEngine, StepReuse, TrajectoryStep};
-use crate::router::DerivationRouter;
+use crate::router::{Change, DerivationReport, DerivationRouter, NetDiff};
 use crate::snapshot::{FORMAT_VERSION, SECTION_OVERHEAD};
 use crate::system::UvSystem;
 use crate::update::{UpdateBatch, UpdateStats};
@@ -112,8 +123,9 @@ use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use uv_data::{ObjectId, PnnAnswer, UncertainObject};
-use uv_geom::{Point, Rect};
+use uv_geom::{Circle, Point, Rect};
 use uv_store::codec::{read_section, write_section, Decode, Encode};
 
 /// Magic bytes every sharded snapshot starts with (the per-shard payloads
@@ -134,10 +146,15 @@ pub struct ShardedUpdateStats {
     /// and the global re-derivation counters. The router has no grid, so
     /// its leaf counters are zero by contract.
     pub router: UpdateStats,
-    /// Per-shard update statistics, indexed by shard; untouched shards keep
-    /// a default entry with their current epoch untouched.
+    /// Per-shard grid-repair statistics, indexed by shard; untouched shards
+    /// keep a default entry with their current epoch untouched. `inserted`
+    /// and `deleted` count replicas gained and lost, `moved` kept replicas
+    /// whose object state changed, and `objects_repartitioned` the members
+    /// that entered the repair. Shards never derive: `objects_rederived`
+    /// and `objects_in_knn_radius` are always 0 — the router's entry
+    /// carries the batch's only derivation.
     pub per_shard: Vec<UpdateStats>,
-    /// Shards that received a non-empty reconciliation batch.
+    /// Shards whose grid was repaired (or, after domain growth, re-indexed).
     pub shards_touched: usize,
     /// Object replicas inserted across shards (membership gained: genuine
     /// inserts plus halo growth of existing objects).
@@ -167,8 +184,8 @@ pub struct ShardLoadStats {
     /// PNN queries (single, batched and trajectory steps) routed to each
     /// shard as its owner. Out-of-domain queries are counted nowhere.
     pub queries: Vec<u64>,
-    /// Update batches that reached each shard with a non-empty
-    /// reconciliation batch (net no-ops and untouched shards count zero).
+    /// Update batches that repaired each shard's grid (net no-ops and
+    /// untouched shards count zero).
     pub updates: Vec<u64>,
 }
 
@@ -184,8 +201,8 @@ pub struct ReshardStats {
     pub nx: usize,
     /// New grid height (rows).
     pub ny: usize,
-    /// New-layout slots that were rebuilt from their halo member sets,
-    /// ascending.
+    /// New-layout slots that were re-indexed from their halo member sets
+    /// and the router's table, ascending.
     pub rebuilt: Vec<usize>,
 }
 
@@ -352,31 +369,181 @@ fn fan_out<T: Send, R: Send>(parallel: bool, items: Vec<T>, f: impl Fn(T) -> R +
     }
 }
 
-/// Builds one [`UvSystem`] per member set — in parallel when the
-/// configuration allows (each shard build also parallelises its own
-/// derivation internally; the scoped fan-out mainly helps many small
-/// shards). Every shard indexes the *full* domain so `locate_leaf` works
-/// for any point its rectangle can receive and halo objects never trigger
-/// spurious domain growth.
+/// Indexes one shard system per member set from `router`'s table — grid
+/// construction only, on scoped threads when the configuration allows.
+/// Every shard indexes the *full* domain so `locate_leaf` works for any
+/// point its rectangle can receive. `mbcs` must cover every live object.
 fn build_shard_systems(
     member_sets: Vec<Vec<UncertainObject>>,
-    domain: Rect,
-    method: Method,
-    config: UvConfig,
-) -> Result<Vec<UvSystem>, UvError> {
-    fan_out(config.parallel, member_sets, |objects| {
-        UvSystem::build(objects, domain, method, config)
+    router: &DerivationRouter,
+    mbcs: &HashMap<ObjectId, Circle>,
+) -> Vec<UvSystem> {
+    fan_out(router.config.parallel, member_sets, |members| {
+        UvSystem::routed(members, router, mbcs)
     })
-    .into_iter()
-    .collect()
+}
+
+/// One shard's share of a routed batch, every list ascending.
+#[derive(Debug, Default)]
+struct ShardDelta {
+    /// Replicas gained: genuine inserts plus halo growth.
+    added: Vec<ObjectId>,
+    /// Replicas lost: genuine deletes plus halo shrinkage.
+    removed: Vec<ObjectId>,
+    /// Kept replicas whose object state changed.
+    moved: Vec<ObjectId>,
+    /// Kept replicas the router re-derived (their states are copied over).
+    refreshed: Vec<ObjectId>,
+    /// Kept replicas whose overlap-test inputs changed.
+    dirty: Vec<ObjectId>,
+}
+
+impl ShardDelta {
+    /// `true` when the shard's grid needs no repair.
+    fn is_empty(&self) -> bool {
+        self.added.is_empty() && self.removed.is_empty() && self.dirty.is_empty()
+    }
+}
+
+/// Splits a routed change into per-shard deltas, diffing halo
+/// membership only for the *candidate* ids whose membership can have
+/// changed — never rescanning the whole object set. Membership is a
+/// function of an object's geometry (changed only for the batch's own
+/// ids) and its influence radius (changed only through a
+/// re-derivation, which the router reports); everything else provably
+/// kept its replicas. Returns the deltas with the live candidates by id.
+fn shard_deltas<'r>(
+    router: &'r DerivationRouter,
+    shards: &[UvSystem],
+    rects: &[Rect],
+    change: &Change,
+) -> (Vec<ShardDelta>, HashMap<ObjectId, &'r UncertainObject>) {
+    let mut candidates: Vec<ObjectId> = change
+        .inserted
+        .iter()
+        .chain(&change.deleted)
+        .chain(&change.changed)
+        .chain(&change.stats.rederived_ids)
+        .copied()
+        .collect();
+    candidates.sort_unstable();
+    candidates.dedup();
+    let live: HashMap<ObjectId, &UncertainObject> = router
+        .objects()
+        .iter()
+        .filter(|o| candidates.binary_search(&o.id).is_ok())
+        .map(|o| (o.id, o))
+        .collect();
+    let mut deltas: Vec<ShardDelta> = (0..shards.len()).map(|_| ShardDelta::default()).collect();
+    for id in &candidates {
+        let current = live.get(id).copied(); // None = deleted
+        let changed = change.changed.binary_search(id).is_ok();
+        let memberships = current.map(|o| match influence_radius(o, router) {
+            None => vec![true; rects.len()],
+            Some(radius) => rects
+                .iter()
+                .map(|rect| rect.intersects_circle(o.center(), radius))
+                .collect(),
+        });
+        for (s, delta) in deltas.iter_mut().enumerate() {
+            // The shards are still pre-batch here (only the router has
+            // applied), so current replica membership is an O(1) lookup
+            // against the shard's own state table.
+            let was = shards[s].object_state(*id).is_some();
+            let now = memberships.as_ref().is_some_and(|m| m[s]);
+            match (was, now) {
+                (false, true) => delta.added.push(*id),
+                (true, false) => delta.removed.push(*id),
+                (true, true) => {
+                    if changed {
+                        delta.moved.push(*id);
+                    }
+                    delta.refreshed.push(*id);
+                }
+                (false, false) => {}
+            }
+        }
+    }
+    // Kept replicas whose overlap inputs changed — re-derived with new
+    // references, moved, or referencing moved geometry (the router's
+    // repartition-only subjects, which are no membership candidates).
+    for id in &change.dirty {
+        for (s, delta) in deltas.iter_mut().enumerate() {
+            if shards[s].object_state(*id).is_some() && delta.removed.binary_search(id).is_err() {
+                delta.dirty.push(*id);
+            }
+        }
+    }
+    (deltas, live)
+}
+
+/// Applies one shard's share of a routed batch: replica set, object store,
+/// R-tree and router states first, then the grid — a localized repair, or a
+/// full grid-only re-index when the router grew the domain (`regrown`).
+/// Nothing here derives.
+fn reconcile_shard(
+    shard: &mut UvSystem,
+    delta: ShardDelta,
+    router: &DerivationRouter,
+    live: &HashMap<ObjectId, &UncertainObject>,
+    mbcs: &HashMap<ObjectId, Circle>,
+    regrown: bool,
+) -> UpdateStats {
+    let mut stats = UpdateStats {
+        epoch: shard.index.epoch,
+        inserted: delta.added.len(),
+        deleted: delta.removed.len(),
+        moved: delta.moved.len(),
+        objects_repartitioned: delta.dirty.len() + delta.added.len() + delta.removed.len(),
+        domain_grown: regrown,
+        ..UpdateStats::default()
+    };
+    let table = &mut shard.router;
+    let replicas = NetDiff {
+        deleted: &delta.removed,
+        changed: delta.moved.iter().map(|id| live[id]).collect(),
+        inserted: delta.added.iter().map(|id| live[id]).collect(),
+    };
+    if !replicas.is_empty() {
+        replicas.apply_to(&mut table.objects);
+        let pages = Arc::clone(table.rtree.store());
+        table.rtree = replicas.reindex(&mut shard.object_store, &table.objects, pages);
+    }
+    for id in &delta.removed {
+        table.ref_table.remove(id);
+    }
+    for id in delta.added.iter().chain(&delta.refreshed) {
+        table.ref_table.insert(*id, router.ref_table[id].clone());
+    }
+    if regrown {
+        table.domain = router.domain;
+        shard.reindex_grid(mbcs, &DerivationReport::default());
+        stats.leaves_refined = shard.index.num_leaf_nodes();
+        stats.total_leaves = shard.index.num_leaf_nodes();
+        stats.epoch = shard.index.epoch;
+        stats.repaired_rects = vec![router.domain];
+    } else if !delta.is_empty() {
+        let entry_dirty: HashSet<ObjectId> = delta.moved.iter().copied().collect();
+        shard.repair_grid(
+            mbcs,
+            &delta.added,
+            &delta.removed,
+            &delta.dirty,
+            &entry_dirty,
+            &mut stats,
+        );
+    }
+    shard.router.epoch = shard.index.epoch;
+    stats
 }
 
 impl ShardedUvSystem {
     /// Builds the sharded system: the derivation-only router over the full
-    /// dataset, then the `config.num_shards × config.num_shards` shard
-    /// systems over their halo member sets (in parallel when
-    /// `config.parallel`). A configuration failing [`UvConfig::validate`]
-    /// is a typed error, never a panic.
+    /// dataset (the build's only derivation), then the `config.num_shards ×
+    /// config.num_shards` shard grids over their halo member sets, indexed
+    /// from the router's table (in parallel when `config.parallel`). A
+    /// configuration failing [`UvConfig::validate`] is a typed error, never
+    /// a panic.
     pub fn build(
         objects: Vec<UncertainObject>,
         domain: Rect,
@@ -388,7 +555,8 @@ impl ShardedUvSystem {
         let bounds_x = axis_bounds(domain.min_x, domain.max_x, side);
         let bounds_y = axis_bounds(domain.min_y, domain.max_y, side);
         let rects = rects_from_bounds(&bounds_x, &bounds_y);
-        let shards = build_shard_systems(shard_members(&router, &rects), domain, method, config)?;
+        let mbcs = mbcs_of(&router.objects);
+        let shards = build_shard_systems(shard_members(&router, &rects), &router, &mbcs);
         Ok(Self {
             router,
             nx: side,
@@ -460,6 +628,13 @@ impl ShardedUvSystem {
     /// The construction method.
     pub fn method(&self) -> Method {
         self.router.method()
+    }
+
+    /// Objects derived by the shards themselves since build or load: zero,
+    /// because a shard only ever indexes from the router's table. The
+    /// `shard` experiment reports it and fails when it is not.
+    pub fn shard_derivations(&self) -> u64 {
+        self.shards.iter().map(|s| s.router.derivations()).sum()
     }
 
     /// Total object replicas across shards divided by the live object count:
@@ -588,134 +763,66 @@ impl ShardedUvSystem {
         trajectory_steps(path, answers)
     }
 
-    /// Applies an update batch atomically: the router validates and applies
-    /// it globally (nothing is mutated on error), then every shard whose
-    /// halo membership the net difference touches is reconciled through the
-    /// PR-3 localized repair. When the batch grew the router's domain in
-    /// place, the shard geometry grows with it first — only the outer ring
-    /// of rectangles changes, every shard re-indexes the grown domain, and
-    /// the layout is never rebuilt ([`ShardedUpdateStats::resharded`] stays
+    /// Applies an update batch atomically: the router validates it and
+    /// runs the derivation pipeline globally (nothing is mutated on error),
+    /// then every shard whose halo members the change touches repairs its
+    /// grid from the router's change record — no shard derives. When the
+    /// batch grew the router's domain in place, the shard geometry grows
+    /// with it first — only the outer ring of rectangles changes, every
+    /// shard re-indexes the grown domain from the router's table, and the
+    /// layout is never rebuilt ([`ShardedUpdateStats::resharded`] stays
     /// `false`).
     pub fn apply(&mut self, batch: UpdateBatch) -> Result<ShardedUpdateStats, UvError> {
-        // Geometry of the ids the batch touches, before the router mutates.
-        let touched: HashSet<ObjectId> = batch
-            .ops
-            .iter()
-            .map(|op| match op {
-                crate::update::UpdateOp::Insert(o) => o.id,
-                crate::update::UpdateOp::Delete(id) => *id,
-                crate::update::UpdateOp::Move { id, .. } => *id,
-            })
-            .collect();
-        let old_geometry: HashMap<ObjectId, UncertainObject> = self
-            .router
-            .objects()
-            .iter()
-            .filter(|o| touched.contains(&o.id))
-            .map(|o| (o.id, o.clone()))
-            .collect();
-        let router_stats = self.router.apply(batch)?;
+        let change = self.router.apply_change(batch)?;
         let mut stats = ShardedUpdateStats {
-            router: router_stats,
+            router: change.stats.clone(),
             per_shard: vec![UpdateStats::default(); self.shards.len()],
             ..ShardedUpdateStats::default()
         };
-        if stats.router.inserted + stats.router.deleted + stats.router.moved == 0 {
+        if change.is_noop() {
             return Ok(stats); // net no-op: shards keep their epochs
         }
-        if stats.router.domain_grown {
+        let regrown = change.regrown.is_some();
+        if regrown {
             // In-place geometry growth: pin the interior split lines and move
-            // only the outermost boundaries to the grown domain edges, then
-            // re-index every shard at the new domain (membership id-sets are
-            // untouched, so the reconciliation diff below stays valid). The
-            // grown domain is a pure function the router already computed, so
-            // router, shards and rectangles agree without coordination.
+            // only the outermost boundaries to the grown domain edges. The
+            // grown domain is a pure function the router already computed,
+            // so router, shards and rectangles agree without coordination.
             let domain = self.router.domain();
             extend_axis_bounds(&mut self.bounds_x, domain.min_x, domain.max_x);
             extend_axis_bounds(&mut self.bounds_y, domain.min_y, domain.max_y);
             self.rects = rects_from_bounds(&self.bounds_x, &self.bounds_y);
             stats.domain_grown = true;
-            let parallel = self.router.config().parallel;
-            let jobs: Vec<&mut UvSystem> = self.shards.iter_mut().collect();
-            for outcome in fan_out(parallel, jobs, |shard| shard.grow_domain_to(domain)) {
-                outcome?;
-            }
         }
-
-        // Reconcile each shard against the new halo membership — diffing
-        // only the *candidate* ids whose membership can have changed, never
-        // rescanning the whole object set. Membership is a function of an
-        // object's geometry (changed only for the batch's own ids) and its
-        // influence radius (changed only through a re-derivation, which the
-        // router reports); everything else provably kept its replicas.
-        let mut candidates: HashSet<ObjectId> = touched;
-        candidates.extend(stats.router.rederived_ids.iter().copied());
-        let live: HashMap<ObjectId, &UncertainObject> = self
-            .router
-            .objects()
-            .iter()
-            .filter(|o| candidates.contains(&o.id))
-            .map(|o| (o.id, o))
-            .collect();
-        let mut shard_batches: Vec<UpdateBatch> =
-            (0..self.shards.len()).map(|_| UpdateBatch::new()).collect();
-        for id in &candidates {
-            let current = live.get(id).copied(); // None = deleted
-            let geometry_changed =
-                current.is_some_and(|o| old_geometry.get(id).is_some_and(|old| old != o));
-            let memberships = current.map(|o| match influence_radius(o, &self.router) {
-                None => vec![true; self.rects.len()],
-                Some(radius) => self
-                    .rects
-                    .iter()
-                    .map(|rect| rect.intersects_circle(o.center(), radius))
-                    .collect(),
-            });
-            for (s, batch) in shard_batches.iter_mut().enumerate() {
-                // The shards are still pre-batch here (only the router has
-                // applied), so current replica membership is an O(1) lookup
-                // against the shard's own maintenance table — no per-batch
-                // member-set snapshots.
-                let was = self.shards[s].object_state(*id).is_some();
-                let now = memberships.as_ref().is_some_and(|m| m[s]);
-                match (was, now) {
-                    (false, true) => {
-                        stats.replicas_added += 1;
-                        *batch =
-                            std::mem::take(batch).insert(current.expect("member is live").clone());
-                    }
-                    (true, false) => {
-                        stats.replicas_removed += 1;
-                        *batch = std::mem::take(batch).delete(*id);
-                    }
-                    (true, true) if geometry_changed => {
-                        // Delete + insert expresses any state change (a move,
-                        // or a delete-then-reinsert with a different radius /
-                        // pdf inside one router batch); the shard's net-diff
-                        // turns the pair back into one geometry change.
-                        *batch = std::mem::take(batch)
-                            .delete(*id)
-                            .insert(current.expect("member is live").clone());
-                    }
-                    _ => {}
-                }
-            }
+        let (deltas, live) = shard_deltas(&self.router, &self.shards, &self.rects, &change);
+        for delta in &deltas {
+            stats.replicas_added += delta.added.len();
+            stats.replicas_removed += delta.removed.len();
         }
+        let mbcs = mbcs_of(&self.router.objects);
 
-        // Only shards with a non-empty reconciliation batch spawn work.
-        let jobs: Vec<(usize, &mut UvSystem, UpdateBatch)> = self
+        // Shards with a grid to repair (all of them after growth) or states
+        // to refresh get a job; the rest are not visited.
+        let router = &self.router;
+        let jobs: Vec<(usize, &mut UvSystem, ShardDelta)> = self
             .shards
             .iter_mut()
-            .zip(shard_batches)
+            .zip(deltas)
             .enumerate()
-            .filter(|(_, (_, batch))| !batch.is_empty())
-            .map(|(s, (shard, batch))| (s, shard, batch))
+            .filter(|(_, (_, delta))| regrown || !delta.is_empty() || !delta.refreshed.is_empty())
+            .map(|(s, (shard, delta))| (s, shard, delta))
             .collect();
-        let parallel = self.router.config().parallel;
-        for (s, outcome) in fan_out(parallel, jobs, |(s, shard, batch)| (s, shard.apply(batch))) {
-            stats.shards_touched += 1;
-            stats.per_shard[s] = outcome?;
-            self.update_loads[s].fetch_add(1, Ordering::Relaxed);
+        let outcomes = fan_out(router.config.parallel, jobs, |(s, shard, delta)| {
+            let repaired = regrown || !delta.is_empty();
+            let shard_stats = reconcile_shard(shard, delta, router, &live, &mbcs, regrown);
+            (s, repaired, shard_stats)
+        });
+        for (s, repaired, shard_stats) in outcomes {
+            if repaired {
+                stats.shards_touched += 1;
+                self.update_loads[s].fetch_add(1, Ordering::Relaxed);
+            }
+            stats.per_shard[s] = shard_stats;
         }
         Ok(stats)
     }
@@ -744,8 +851,9 @@ impl ShardedUvSystem {
 
     /// Splits shard `idx` by inserting a midpoint boundary on its longer
     /// axis. The layout stays a product grid, so the whole row or column
-    /// containing `idx` is divided: those shards are rebuilt from their
-    /// halo member sets, every other shard moves wholesale to its new slot
+    /// containing `idx` is divided: those shards are re-indexed from their
+    /// halo member sets and the router's table (no derivation), every other
+    /// shard moves wholesale to its new slot
     /// (epoch and leaf structure intact — see [`ReshardStats::shard_map`]).
     /// Answers stay bit-identical to the unsharded oracle; tallies reset.
     /// Out-of-range `idx`, a slab too thin to split and an axis already at
@@ -937,9 +1045,9 @@ impl ShardedUvSystem {
     /// slot of each current shard whose rectangle is unchanged (it moves
     /// wholesale — membership is a function of the rectangle, so its member
     /// set, epoch and leaf structure stay valid); unmapped slots are
-    /// rebuilt from their halo member sets. Replacement shards are built
-    /// *before* any live state mutates, so an error leaves the deployment
-    /// exactly as it was. Tallies reset to zero on success.
+    /// re-indexed from their halo member sets and the router's table.
+    /// Replacement shards are built *before* any live state mutates. Tallies
+    /// reset to zero.
     fn reshard_to(
         &mut self,
         bounds_x: Vec<f64>,
@@ -957,20 +1065,16 @@ impl ShardedUvSystem {
         let rebuilt: Vec<usize> = (0..nx * ny).filter(|s| !claimed[*s]).collect();
 
         let mut members = shard_members(&self.router, &rects);
-        let domain = self.router.domain();
-        let method = self.router.method();
-        let config = *self.router.config();
-        let jobs: Vec<(usize, Vec<UncertainObject>)> = rebuilt
+        let member_sets: Vec<Vec<UncertainObject>> = rebuilt
             .iter()
-            .map(|&s| (s, std::mem::take(&mut members[s])))
+            .map(|&s| std::mem::take(&mut members[s]))
             .collect();
-        let outcomes = fan_out(config.parallel, jobs, |(s, objects)| {
-            (s, UvSystem::build(objects, domain, method, config))
-        });
-        let mut fresh: Vec<(usize, UvSystem)> = Vec::with_capacity(outcomes.len());
-        for (s, outcome) in outcomes {
-            fresh.push((s, outcome?));
-        }
+        let mbcs = mbcs_of(&self.router.objects);
+        let fresh =
+            rebuilt
+                .iter()
+                .copied()
+                .zip(build_shard_systems(member_sets, &self.router, &mbcs));
 
         // Commit: nothing below can fail.
         let old = std::mem::take(&mut self.shards);
@@ -1137,8 +1241,9 @@ impl ShardedUvSystem {
             ));
         }
 
-        // Halo coverage: every shard member must be live globally, and every
-        // live object must be replicated somewhere.
+        // Halo coverage: every shard member must be live globally and carry
+        // the router's state (shards index from the router's table), and
+        // every live object must be replicated somewhere.
         let live: HashSet<ObjectId> = router.objects().iter().map(|o| o.id).collect();
         let mut covered: HashSet<ObjectId> = HashSet::with_capacity(live.len());
         for shard in &shards {
@@ -1146,6 +1251,12 @@ impl ShardedUvSystem {
                 if !live.contains(&o.id) {
                     return Err(UvError::SnapshotCorrupt(format!(
                         "shard replica {} is not live in the router",
+                        o.id
+                    )));
+                }
+                if shard.object_state(o.id) != router.object_state(o.id) {
+                    return Err(UvError::SnapshotCorrupt(format!(
+                        "shard replica {} carries a state other than the router's",
                         o.id
                     )));
                 }
@@ -1190,6 +1301,7 @@ impl ShardedUvSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use uv_data::{Dataset, GeneratorConfig};
 
     fn config() -> UvConfig {
@@ -1780,6 +1892,122 @@ mod tests {
         let mid = bytes.len() / 2;
         bad[mid] ^= 0x10;
         assert!(ShardedUvSystem::load_snapshot(&mut bad.as_slice()).is_err());
+    }
+
+    /// Every shard holds exactly its halo member set with the router's
+    /// states, and its grid equals a cold grid-only build of that set from
+    /// the router's current table (the same `canonical_leaves` oracle the
+    /// unsharded repair is held to).
+    fn assert_shards_equal_cold_grid_builds(sharded: &ShardedUvSystem) {
+        let mbcs = mbcs_of(&sharded.router.objects);
+        let halos = shard_members(&sharded.router, &sharded.rects);
+        for (s, halo) in halos.into_iter().enumerate() {
+            let shard = sharded.shard(s);
+            let mut held: Vec<ObjectId> = shard.objects().iter().map(|o| o.id).collect();
+            let mut want: Vec<ObjectId> = halo.iter().map(|o| o.id).collect();
+            held.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(held, want, "shard {s} holds the wrong halo");
+            for o in shard.objects() {
+                assert_eq!(
+                    shard.object_state(o.id),
+                    sharded.router.object_state(o.id),
+                    "shard {s} state of {}",
+                    o.id
+                );
+            }
+            assert_eq!(shard.domain(), sharded.domain());
+            let cold = UvSystem::routed(halo, &sharded.router, &mbcs);
+            assert_eq!(
+                shard.index().canonical_leaves(),
+                cold.index().canonical_leaves(),
+                "shard {s} grid diverged from a cold grid-only build"
+            );
+        }
+        assert_eq!(sharded.shard_derivations(), 0, "a shard derived");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+
+        /// Shard grids maintained through churn (with occasional inserts
+        /// and moves past the domain, so it grows in place), a split and a
+        /// merge equal cold grid-only builds from the router's table after
+        /// every step.
+        #[test]
+        fn maintained_shard_grids_equal_cold_grid_only_builds(
+            case in (60..110usize, 0..2u8, 0..10_000u64),
+            raw_ops in prop::collection::vec(
+                (0..3u8, 0..u16::MAX, -400.0..10_400.0f64, -400.0..10_400.0f64),
+                24..40,
+            ),
+            picks in (0..16usize, 0..16usize),
+        ) {
+            let (n, method_pick, seed) = case;
+            let method = if method_pick == 0 { Method::IC } else { Method::ICR };
+            let ds = Dataset::generate(GeneratorConfig::paper_uniform(n).with_seed(seed));
+            let mut sharded =
+                ShardedUvSystem::build(ds.objects.clone(), ds.domain, method, config()).unwrap();
+            assert_shards_equal_cold_grid_builds(&sharded);
+            let mut next_id = 50_000u32;
+            for (step, chunk) in raw_ops.chunks(6).enumerate() {
+                let live: Vec<ObjectId> = sharded.objects().iter().map(|o| o.id).collect();
+                let mut used: Vec<ObjectId> = Vec::new();
+                let mut batch = UpdateBatch::new();
+                for (op, pick, x, y) in chunk {
+                    let target = live[*pick as usize % live.len()];
+                    match op {
+                        0 => {
+                            batch = batch.insert(UncertainObject::with_gaussian(
+                                next_id,
+                                Point::new(*x, *y),
+                                20.0,
+                            ));
+                            next_id += 1;
+                        }
+                        _ if used.contains(&target) => {}
+                        1 if live.len() > used.len() + 20 => {
+                            batch = batch.delete(target);
+                            used.push(target);
+                        }
+                        _ => {
+                            batch = batch.move_to(target, Point::new(*x, *y));
+                            used.push(target);
+                        }
+                    }
+                }
+                sharded.apply(batch).unwrap();
+                assert_shards_equal_cold_grid_builds(&sharded);
+                if step == 1 {
+                    sharded.split_shard(picks.0 % sharded.shard_count()).unwrap();
+                    assert_shards_equal_cold_grid_builds(&sharded);
+                }
+                if step == 3 && sharded.shard_count() > 1 {
+                    let (nx, _) = sharded.grid_dims();
+                    let a = picks.1 % sharded.shard_count();
+                    let b = if a % nx + 1 < nx { a + 1 } else { a - 1 };
+                    sharded.merge_shards(a, b).unwrap();
+                    assert_shards_equal_cold_grid_builds(&sharded);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn version_5_snapshots_with_shard_derived_states_are_rejected() {
+        // Version 5 shard sections hold states each shard derived against
+        // its own halo; they must never be mixed with router states.
+        let (_, sharded, _) = fixture(60, 2);
+        let mut bytes = Vec::new();
+        sharded.save_snapshot(&mut bytes).unwrap();
+        bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
+        assert_eq!(
+            ShardedUvSystem::load_snapshot(&mut bytes.as_slice()).unwrap_err(),
+            UvError::SnapshotVersionMismatch {
+                found: 5,
+                supported: FORMAT_VERSION,
+            }
+        );
     }
 
     #[test]

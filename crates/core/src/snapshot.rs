@@ -57,6 +57,7 @@ use crate::builder::Method;
 use crate::config::UvConfig;
 use crate::crobjects::UpdateSensitivity;
 use crate::index::{GridNode, UvIndex};
+use crate::router::DerivationRouter;
 use crate::stats::ConstructionStats;
 use crate::subscribe::SubscriptionTable;
 use crate::system::UvSystem;
@@ -108,7 +109,13 @@ pub const MAGIC: [u8; 8] = *b"UVDSNAP\0";
 ///   vectors, because elastic split/merge makes the layout non-square and
 ///   non-uniform. The unsharded stream layout is unchanged beyond the two
 ///   appended config fields.
-pub const FORMAT_VERSION: u32 = 5;
+/// * **6** — shards index from the router's reference table instead of
+///   deriving their own, so every shard section's REF_TABLE now holds the
+///   router's states for its members (loading checks they agree). A v5
+///   sharded snapshot, whose shards hold states derived against their halo
+///   subsets, is rejected rather than mixed with router-derived states. The
+///   stream layout is unchanged.
+pub const FORMAT_VERSION: u32 = 6;
 
 mod tag {
     pub const CONFIG: u8 = 1;
@@ -435,7 +442,7 @@ impl UvSystem {
         w: &mut W,
         subscriptions: &SubscriptionTable,
     ) -> Result<u64, UvError> {
-        let config_payload = to_bytes(&self.config);
+        let config_payload = to_bytes(&self.router.config);
 
         w.write_all(&MAGIC)?;
         FORMAT_VERSION.write_to(w)?;
@@ -449,20 +456,20 @@ impl UvSystem {
         written += emit(w, tag::CONFIG, config_payload)?;
 
         let mut meta = Vec::new();
-        self.domain.write_to(&mut meta)?;
-        self.method.write_to(&mut meta)?;
+        self.router.domain.write_to(&mut meta)?;
+        self.router.method.write_to(&mut meta)?;
         written += emit(w, tag::META, meta)?;
 
-        written += emit(w, tag::OBJECTS, to_bytes(&self.objects))?;
+        written += emit(w, tag::OBJECTS, to_bytes(&self.router.objects))?;
         written += emit(w, tag::OBJECT_PAGES, to_bytes(&**self.object_store.store()))?;
 
         let mut object_store_state = Vec::new();
         self.object_store.write_state(&mut object_store_state)?;
         written += emit(w, tag::OBJECT_STORE, object_store_state)?;
 
-        written += emit(w, tag::RTREE_PAGES, to_bytes(&**self.rtree.store()))?;
+        written += emit(w, tag::RTREE_PAGES, to_bytes(&**self.router.rtree.store()))?;
         let mut rtree_state = Vec::new();
-        self.rtree.write_state(&mut rtree_state)?;
+        self.router.rtree.write_state(&mut rtree_state)?;
         written += emit(w, tag::RTREE, rtree_state)?;
 
         written += emit(w, tag::INDEX_PAGES, to_bytes(&**self.index.store()))?;
@@ -470,8 +477,12 @@ impl UvSystem {
         write_index(&self.index, &mut index_state)?;
         written += emit(w, tag::INDEX, index_state)?;
 
-        let mut ref_table: Vec<(u32, &ObjectState)> =
-            self.ref_table.iter().map(|(id, s)| (*id, s)).collect();
+        let mut ref_table: Vec<(u32, &ObjectState)> = self
+            .router
+            .ref_table
+            .iter()
+            .map(|(id, s)| (*id, s))
+            .collect();
         ref_table.sort_unstable_by_key(|(id, _)| *id);
         let mut ref_payload = Vec::new();
         ref_table.len().write_to(&mut ref_payload)?;
@@ -678,17 +689,22 @@ impl UvSystem {
             ));
         }
 
+        let router = DerivationRouter {
+            objects,
+            domain,
+            rtree,
+            ref_table,
+            config,
+            method,
+            epoch: index.epoch,
+            derivations: 0,
+        };
         Ok((
             UvSystem {
-                objects,
-                domain,
+                router,
                 object_store,
-                rtree,
                 index,
                 construction,
-                config,
-                method,
-                ref_table,
             },
             subscriptions,
         ))

@@ -6,15 +6,17 @@
 //! individual pieces remain available for callers that want to manage
 //! storage themselves.
 
-use crate::builder::{build_uv_index_full, Method};
+use crate::builder::{build_grid, entries_of, mbcs_of, GridCtx, Method};
 use crate::config::UvConfig;
 use crate::engine::{QueryEngine, TrajectoryStep};
 use crate::index::UvIndex;
+use crate::router::{DerivationReport, DerivationRouter};
 use crate::stats::ConstructionStats;
 use crate::update::RefTable;
+use std::collections::HashMap;
 use std::sync::Arc;
 use uv_data::{ObjectId, ObjectStore, PnnAnswer, UncertainObject};
-use uv_geom::{Point, Rect};
+use uv_geom::{Circle, Point, Rect};
 use uv_rtree::{pnn_query, RTree};
 use uv_store::PageStore;
 
@@ -32,17 +34,14 @@ use uv_store::PageStore;
 /// with zero re-derivation — see [`crate::snapshot`].
 #[derive(Debug)]
 pub struct UvSystem {
-    pub(crate) objects: Vec<UncertainObject>,
-    pub(crate) domain: Rect,
+    /// Objects, domain, R-tree (with record pointers into `object_store`)
+    /// and the per-object reference table: the derivation pipeline every
+    /// update runs through. A shard's router never derives — it holds the
+    /// sharded system's router states for its halo members.
+    pub(crate) router: DerivationRouter,
     pub(crate) object_store: ObjectStore,
-    pub(crate) rtree: RTree,
     pub(crate) index: UvIndex,
     pub(crate) construction: ConstructionStats,
-    pub(crate) config: UvConfig,
-    pub(crate) method: Method,
-    /// Per-object reference sets and update-sensitivity bounds, kept in sync
-    /// with the index by [`crate::update`].
-    pub(crate) ref_table: RefTable,
 }
 
 impl UvSystem {
@@ -58,31 +57,56 @@ impl UvSystem {
         method: Method,
         config: UvConfig,
     ) -> Result<Self, crate::UvError> {
+        config.validate()?;
         let object_pages = Arc::new(PageStore::new());
         let object_store = ObjectStore::build(Arc::clone(&object_pages), &objects);
         let rtree_pages = Arc::new(PageStore::new());
         let rtree = RTree::build(&objects, &object_store, rtree_pages);
-        let index_pages = Arc::new(PageStore::new());
-        let (index, construction, ref_table) = build_uv_index_full(
-            &objects,
-            &object_store,
-            &rtree,
-            domain,
-            index_pages,
-            method,
-            config,
-        )?;
+        let (router, report) = DerivationRouter::derive(objects, domain, rtree, method, config);
+        let (index, construction) =
+            index_grid(&router, &object_store, &mbcs_of(&router.objects), &report);
         Ok(Self {
-            objects,
-            domain,
+            router,
             object_store,
-            rtree,
             index,
             construction,
-            config,
-            method,
-            ref_table,
         })
+    }
+
+    /// A shard's system over `members`, indexed from `global`'s reference
+    /// table without deriving anything: each member carries its router
+    /// state, and overlap tests take referenced MBCs from `mbcs`, which must
+    /// cover every object `global` holds (a reference can lie outside the
+    /// halo).
+    pub(crate) fn routed(
+        members: Vec<UncertainObject>,
+        global: &DerivationRouter,
+        mbcs: &HashMap<ObjectId, Circle>,
+    ) -> Self {
+        let object_store = ObjectStore::build(Arc::new(PageStore::new()), &members);
+        let rtree = RTree::build(&members, &object_store, Arc::new(PageStore::new()));
+        let ref_table: RefTable = members
+            .iter()
+            .map(|o| (o.id, global.ref_table[&o.id].clone()))
+            .collect();
+        let router = DerivationRouter {
+            objects: members,
+            domain: global.domain,
+            rtree,
+            ref_table,
+            config: global.config,
+            method: global.method,
+            epoch: 0,
+            derivations: 0,
+        };
+        let (index, construction) =
+            index_grid(&router, &object_store, mbcs, &DerivationReport::default());
+        Self {
+            router,
+            object_store,
+            index,
+            construction,
+        }
     }
 
     /// Builds with the paper's default configuration and the IC method.
@@ -98,25 +122,25 @@ impl UvSystem {
     /// place (the index itself orders members canonically by id, so slice
     /// order carries no meaning).
     pub fn objects(&self) -> &[UncertainObject] {
-        &self.objects
+        &self.router.objects
     }
 
     /// The indexed domain. It grows — exponentially, in place, never through
     /// a rebuild — when an update inserts or moves an object beyond it
     /// ([`crate::update::UpdateStats::domain_grown`]).
     pub fn domain(&self) -> Rect {
-        self.domain
+        self.router.domain
     }
 
     /// The construction method the system was built with (re-used by
     /// incremental re-derivations).
     pub fn method(&self) -> Method {
-        self.method
+        self.router.method
     }
 
     /// The configuration the system was built with.
     pub fn config(&self) -> &UvConfig {
-        &self.config
+        &self.router.config
     }
 
     /// Current index epoch: 0 after construction, bumped once per applied
@@ -128,7 +152,7 @@ impl UvSystem {
     /// The retained maintenance state of one object (reference ids and
     /// sensitivity bound), if it is live.
     pub fn object_state(&self, id: ObjectId) -> Option<&crate::update::ObjectState> {
-        self.ref_table.get(&id)
+        self.router.object_state(id)
     }
 
     /// The UV-index.
@@ -138,7 +162,7 @@ impl UvSystem {
 
     /// The R-tree baseline over the same objects.
     pub fn rtree(&self) -> &RTree {
-        &self.rtree
+        &self.router.rtree
     }
 
     /// The shared object store (full records with pdfs).
@@ -154,7 +178,7 @@ impl UvSystem {
     /// Answers a PNN query with the UV-index (point lookup + verification).
     pub fn pnn(&self, q: Point) -> PnnAnswer {
         self.index
-            .pnn(&self.object_store, q, self.config.integration_steps)
+            .pnn(&self.object_store, q, self.router.config.integration_steps)
     }
 
     /// Creates a concurrent batched query engine over this system's index
@@ -185,10 +209,10 @@ impl UvSystem {
     /// of \[14\] — the comparison of Figure 6.
     pub fn pnn_rtree(&self, q: Point) -> PnnAnswer {
         pnn_query(
-            &self.rtree,
+            &self.router.rtree,
             &self.object_store,
             q,
-            self.config.integration_steps,
+            self.router.config.integration_steps,
         )
     }
 
@@ -206,9 +230,35 @@ impl UvSystem {
     /// pages). Call between measurement batches.
     pub fn reset_io(&self) {
         self.index.store().reset_io();
-        self.rtree.store().reset_io();
+        self.router.rtree.store().reset_io();
         self.object_store.store().reset_io();
     }
+}
+
+/// Phase B over `router`'s objects, with leaf entries pointing into
+/// `object_store`: the grid built from their states and `mbcs`, with its
+/// construction statistics (`report` is the derivation that produced the
+/// states).
+pub(crate) fn index_grid(
+    router: &DerivationRouter,
+    object_store: &ObjectStore,
+    mbcs: &HashMap<ObjectId, Circle>,
+    report: &DerivationReport,
+) -> (UvIndex, ConstructionStats) {
+    let entries = entries_of(&router.objects, object_store);
+    let ctx = GridCtx {
+        mbcs,
+        entries: &entries,
+        states: &router.ref_table,
+    };
+    build_grid(
+        &router.objects,
+        &ctx,
+        router.domain,
+        Arc::new(PageStore::new()),
+        router.config,
+        report,
+    )
 }
 
 #[cfg(test)]
@@ -284,7 +334,7 @@ mod tests {
     #[test]
     fn every_invalid_config_is_a_typed_error_not_a_panic() {
         // Regression for the `validate().expect(..)` panic that used to sit
-        // in `build_uv_index_full`: every rejection `UvConfig::validate` can
+        // in the builder: every rejection `UvConfig::validate` can
         // produce must surface as `UvError::InvalidConfig` from the public
         // construction entry points.
         use crate::builder::build_uv_index;

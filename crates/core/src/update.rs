@@ -38,6 +38,17 @@
 //!    expensive, localized part — cr-derivation and leaf refinement — is
 //!    what the affected bounds confine.
 //!
+//! # One pipeline
+//!
+//! [`UvSystem::apply`] is the system's [`crate::DerivationRouter`]
+//! pipeline — validation, net diff, domain growth, affected set,
+//! re-derivation and the dirty diff (steps 1–8, [`crate::router`]) —
+//! followed by the localized grid repair and budget reconciliation of this
+//! module (steps 9–10), driven by the change record the router returns.
+//! The sharded layer runs the same two halves: its router derives once,
+//! and every touched shard repairs its grid from the same record
+//! ([`crate::shard`]).
+//!
 //! # No full rebuilds
 //!
 //! Two situations used to abandon incremental repair for a cold rebuild;
@@ -79,24 +90,23 @@
 //! to hold a live [`crate::QueryEngine`] across a mutation.
 
 use crate::builder::{
-    build_uv_index_full, derive_subset, grow_node, make_leaf, reconcile_budget, split_members,
-    GridCtx, GrowStats, Method, NodeBudget,
+    entries_of, grow_node, make_leaf, mbcs_of, reconcile_budget, split_members, GridCtx, GrowStats,
+    NodeBudget,
 };
-use crate::crobjects::{ChangeImpact, UpdateSensitivity};
+use crate::crobjects::UpdateSensitivity;
 use crate::index::{GridNode, UvIndex};
-use crate::system::UvSystem;
+use crate::router::DerivationReport;
+use crate::system::{index_grid, UvSystem};
 use crate::UvError;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use uv_data::{ObjectEntry, ObjectId, UncertainObject};
+use uv_data::{ObjectId, UncertainObject};
 use uv_geom::{Circle, Point, Rect};
-use uv_rtree::RTree;
-use uv_store::PageStore;
 
 /// Per-object state the system retains between updates: the reference ids
 /// the object was indexed under and the sensitivity bound that decides when
 /// a change elsewhere forces its re-derivation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectState {
     pub(crate) reference_ids: Vec<ObjectId>,
     pub(crate) sensitivity: UpdateSensitivity,
@@ -352,282 +362,87 @@ impl UvSystem {
     /// a bound non-leaf budget by post-repair reconciliation — an update
     /// never falls back to a full rebuild. Bumps the index epoch exactly
     /// once when the net difference is non-empty.
+    ///
+    /// Steps 1–8 are the system's [`crate::DerivationRouter`] pipeline (the
+    /// object store is updated and the R-tree repacked in its re-indexing
+    /// step); steps 9–10 repair the grid from the change it reports.
     pub fn apply(&mut self, batch: UpdateBatch) -> Result<UpdateStats, UvError> {
-        let mut stats = UpdateStats {
-            epoch: self.index.epoch(),
-            total_leaves: self.index.num_leaf_nodes(),
-            ..UpdateStats::default()
-        };
-
-        // ---- 1. Validate by simulation -----------------------------------
-        // `overlay` shadows only what the batch touches (`Some` = new state,
-        // `None` = deleted); the untouched majority of the object set is
-        // never cloned. Nothing in `self` is mutated until the whole batch
-        // validates.
-        let before: HashMap<ObjectId, &UncertainObject> =
-            self.objects.iter().map(|o| (o.id, o)).collect();
-        let mut overlay: HashMap<ObjectId, Option<UncertainObject>> = HashMap::new();
-        let is_live = |overlay: &HashMap<ObjectId, Option<UncertainObject>>,
-                       before: &HashMap<ObjectId, &UncertainObject>,
-                       id: &ObjectId| {
-            overlay
-                .get(id)
-                .map_or(before.contains_key(id), Option::is_some)
-        };
-        for op in &batch.ops {
-            match op {
-                UpdateOp::Insert(o) => {
-                    validate_object(o)?;
-                    if is_live(&overlay, &before, &o.id) {
-                        return Err(UvError::DuplicateObject(o.id));
-                    }
-                    overlay.insert(o.id, Some(o.clone()));
-                }
-                UpdateOp::Delete(id) => {
-                    if !is_live(&overlay, &before, id) {
-                        return Err(UvError::UnknownObject(*id));
-                    }
-                    overlay.insert(*id, None);
-                }
-                UpdateOp::Move { id, center } => {
-                    let current = match overlay.get(id) {
-                        Some(state) => state.as_ref(),
-                        None => before.get(id).copied(),
-                    };
-                    let Some(current) = current else {
-                        return Err(UvError::UnknownObject(*id));
-                    };
-                    if !center.x.is_finite() || !center.y.is_finite() {
-                        return Err(UvError::InvalidObject(*id));
-                    }
-                    let mut moved = current.clone();
-                    moved.region.center = *center;
-                    overlay.insert(*id, Some(moved));
-                }
-            }
-        }
-
-        // ---- 2. Net difference -------------------------------------------
-        // Also captures the old/new geometry of everything that changes or
-        // disappears, split by direction: disappearing states (deletes,
-        // move origins) and appearing states (inserts, move destinations)
-        // carry different seed-displacement hazards, which the sensitivity
-        // prefilter exploits.
-        let mut deleted: Vec<ObjectId> = Vec::new();
-        let mut inserted: Vec<ObjectId> = Vec::new();
-        let mut changed: Vec<ObjectId> = Vec::new();
-        let mut removed_mbcs: Vec<Circle> = Vec::new();
-        let mut added_mbcs: Vec<Circle> = Vec::new();
-        let mut moved_mbcs: Vec<(Circle, Circle)> = Vec::new();
-        for (id, state) in &overlay {
-            match (before.get(id), state) {
-                (Some(b), Some(o)) if *b != o => {
-                    changed.push(*id);
-                    moved_mbcs.push((b.mbc(), o.mbc()));
-                }
-                (Some(_), Some(_)) => {} // touched but net-unchanged
-                (Some(b), None) => {
-                    deleted.push(*id);
-                    removed_mbcs.push(b.mbc());
-                }
-                (None, Some(o)) => {
-                    inserted.push(*id);
-                    added_mbcs.push(o.mbc());
-                }
-                (None, None) => {} // inserted then deleted within the batch
-            }
-        }
-        drop(before);
-        deleted.sort_unstable();
-        inserted.sort_unstable();
-        changed.sort_unstable();
-        stats.deleted = deleted.len();
-        stats.inserted = inserted.len();
-        stats.moved = changed.len();
-        if deleted.is_empty() && inserted.is_empty() && changed.is_empty() {
+        let rtree_pages = Arc::clone(self.router.rtree.store());
+        let object_store = &mut self.object_store;
+        let change = self.router.apply_with(batch, |objects, diff| {
+            diff.reindex(object_store, objects, rtree_pages)
+        })?;
+        let noop = change.is_noop();
+        let mut stats = change.stats;
+        stats.total_leaves = self.index.num_leaf_nodes();
+        if noop {
             return Ok(stats);
         }
-        let updated = |id: &ObjectId| overlay[id].as_ref().expect("net-changed ids carry a state");
-
-        // ---- 3. Apply the net difference to the object vector ------------
-        self.objects
-            .retain(|o| !matches!(overlay.get(&o.id), Some(None)));
-        for o in self.objects.iter_mut() {
-            if changed.binary_search(&o.id).is_ok() {
-                *o = updated(&o.id).clone();
-            }
+        let mbcs = mbcs_of(&self.router.objects);
+        if let Some(report) = &change.regrown {
+            // Every derivation changed with the domain: rebuild the grid
+            // canonically into the live system (stores and epoch sequence
+            // carry over).
+            self.reindex_grid(&mbcs, report);
+            stats.leaves_refined = self.index.num_leaf_nodes();
+            stats.total_leaves = self.index.num_leaf_nodes();
+            stats.epoch = self.index.epoch;
+            return Ok(stats);
         }
-        for id in &inserted {
-            self.objects.push(updated(id).clone());
-        }
-
-        // ---- 4. Secondary structures -------------------------------------
-        for id in &deleted {
-            self.object_store.remove(*id);
-        }
-        for id in &changed {
-            self.object_store.update(updated(id));
-        }
-        for id in &inserted {
-            self.object_store.insert(updated(id));
-        }
-        let rtree_pages = Arc::clone(self.rtree.store());
-        self.rtree = RTree::build(&self.objects, &self.object_store, rtree_pages);
-
-        // ---- 5. In-place domain growth -----------------------------------
-        // The derivation is domain-seeded (possible regions start from the
-        // domain rectangle, the hull discretisation scales with its side),
-        // so a domain change invalidates every derivation: growth re-derives
-        // everything and rebuilds the grid canonically — into the live
-        // system, over the stores updated above.
-        let needed = inserted
-            .iter()
-            .chain(&changed)
-            .map(|id| updated(id).mbr())
-            .filter(|mbr| !self.domain.contains_rect(mbr))
-            .fold(None::<Rect>, |acc, mbr| {
-                Some(acc.map_or(mbr, |a| a.union(&mbr)))
-            });
-        if let Some(needed) = needed {
-            let domain = grow_domain(self.domain, &needed);
-            return self.finish_with_domain_growth(stats, domain);
-        }
-
-        // ---- 6. Affected objects -----------------------------------------
-        let changed_set: HashSet<ObjectId> = changed.iter().copied().collect();
-        let inserted_set: HashSet<ObjectId> = inserted.iter().copied().collect();
-        let mut affected: HashSet<ObjectId> = changed_set.union(&inserted_set).copied().collect();
-        stats.objects_in_knn_radius = affected.len();
-        // Subjects whose reference id list is provably unchanged but whose
-        // referenced geometry moved: grid repair without re-derivation.
-        // Only the IC method may take this shortcut (ICR refines through
-        // the references' geometry, so its derivation must repeat).
-        let mut repartition_only: Vec<ObjectId> = Vec::new();
-        for o in &self.objects {
-            if affected.contains(&o.id) {
-                continue;
-            }
-            let sensitivity = &self.ref_table[&o.id].sensitivity;
-            let c = o.center();
-            let mut impact = ChangeImpact::Unaffected;
-            for mbc in &removed_mbcs {
-                if sensitivity.affected_by_removed(c, mbc) {
-                    impact = ChangeImpact::Rederive;
-                    break;
-                }
-            }
-            for mbc in &added_mbcs {
-                if impact < ChangeImpact::Rederive && sensitivity.affected_by_added(c, mbc) {
-                    impact = ChangeImpact::Rederive;
-                }
-            }
-            for (old, new) in &moved_mbcs {
-                if impact < ChangeImpact::Rederive {
-                    let mut verdict = sensitivity.move_impact(c, old, new);
-                    if verdict == ChangeImpact::RepartitionOnly && self.method != Method::IC {
-                        verdict = ChangeImpact::Rederive;
-                    }
-                    impact = impact.max(verdict);
-                }
-            }
-            match impact {
-                ChangeImpact::Rederive => {
-                    affected.insert(o.id);
-                    stats.objects_in_knn_radius += 1;
-                }
-                ChangeImpact::RepartitionOnly => {
-                    repartition_only.push(o.id);
-                    stats.objects_in_knn_radius += 1;
-                }
-                ChangeImpact::Unaffected => {
-                    // Inside the k-NN radius but skipped by the prefilter —
-                    // counted so the churn experiment can report the saving
-                    // against the PR-3 bound.
-                    if removed_mbcs
-                        .iter()
-                        .chain(&added_mbcs)
-                        .chain(moved_mbcs.iter().flat_map(|(a, b)| [a, b]))
-                        .any(|mbc| sensitivity.affected_by_knn_bound(c, mbc))
-                    {
-                        stats.objects_in_knn_radius += 1;
-                    }
-                }
-            }
-        }
-
-        // ---- 7. Re-derive the affected objects ---------------------------
-        let by_id: HashMap<ObjectId, &UncertainObject> =
-            self.objects.iter().map(|o| (o.id, o)).collect();
-        let subjects: Vec<&UncertainObject> = self
-            .objects
-            .iter()
-            .filter(|o| affected.contains(&o.id))
-            .collect();
-        let derived = derive_subset(
-            &subjects,
-            &self.objects,
-            &by_id,
-            &self.rtree,
-            &self.domain,
-            &self.config,
-            self.method,
+        let entry_dirty: HashSet<ObjectId> = change.changed.iter().copied().collect();
+        self.repair_grid(
+            &mbcs,
+            &change.inserted,
+            &change.deleted,
+            &change.dirty,
+            &entry_dirty,
+            &mut stats,
         );
-        stats.objects_rederived = derived.len();
+        Ok(stats)
+    }
 
-        // ---- 8. Diff derivations into the dirty set ----------------------
-        // An object needs grid repair when its overlap-test inputs changed:
-        // its own MBC, its reference id list, or the MBC of an object it
-        // references.
-        let mut dirty: Vec<ObjectId> = Vec::new();
-        for p in derived {
-            stats.rederived_ids.push(p.id);
-            let refs_changed = self
-                .ref_table
-                .get(&p.id)
-                .is_none_or(|w| w.reference_ids != p.reference_ids);
-            let is_dirty = refs_changed
-                || changed_set.contains(&p.id)
-                || p.reference_ids.iter().any(|r| changed_set.contains(r));
-            self.ref_table.insert(
-                p.id,
-                ObjectState {
-                    reference_ids: p.reference_ids,
-                    sensitivity: p.sensitivity,
-                },
-            );
-            if is_dirty && !inserted_set.contains(&p.id) {
-                dirty.push(p.id);
-            }
-        }
-        for id in &deleted {
-            self.ref_table.remove(id);
-        }
-        // Repartition-only subjects skipped the derivation (their reference
-        // id lists are provably unchanged) but reference moved geometry, so
-        // their overlap tests must be re-run.
-        dirty.extend_from_slice(&repartition_only);
-        dirty.sort_unstable();
-        stats.objects_repartitioned = dirty.len() + inserted.len() + deleted.len();
+    /// Rebuilds the grid canonically at the current domain from the
+    /// system's reference states (no derivation) and advances the epoch by
+    /// one — what a domain growth leaves every grid to do. `report` is the
+    /// derivation that produced the states.
+    pub(crate) fn reindex_grid(
+        &mut self,
+        mbcs: &HashMap<ObjectId, Circle>,
+        report: &DerivationReport,
+    ) {
+        let epoch = self.index.epoch + 1;
+        (self.index, self.construction) =
+            index_grid(&self.router, &self.object_store, mbcs, report);
+        self.index.epoch = epoch;
+    }
+
+    /// Steps 9–10: localized grid repair and budget reconciliation over the
+    /// system's current objects and states, advancing the epoch by one.
+    /// `added` are newly indexed ids, `removed` ids no longer indexed,
+    /// `dirty` surviving members whose overlap inputs changed and
+    /// `entry_dirty` members whose leaf entry bytes (MBC or record pointer)
+    /// changed. Overlap tests take MBCs from `mbcs`, which must cover every
+    /// referenced object. Fills the leaf counters, repaired rectangles,
+    /// epoch and leaf total of `stats`.
+    pub(crate) fn repair_grid(
+        &mut self,
+        mbcs: &HashMap<ObjectId, Circle>,
+        added: &[ObjectId],
+        removed: &[ObjectId],
+        dirty: &[ObjectId],
+        entry_dirty: &HashSet<ObjectId>,
+        stats: &mut UpdateStats,
+    ) {
+        let entries = entries_of(&self.router.objects, &self.object_store);
+        let ctx = GridCtx {
+            mbcs,
+            entries: &entries,
+            states: &self.router.ref_table,
+        };
 
         // ---- 9. Localized grid repair ------------------------------------
-        let mbcs: HashMap<ObjectId, Circle> =
-            self.objects.iter().map(|o| (o.id, o.mbc())).collect();
-        let entries: HashMap<ObjectId, ObjectEntry> = self
-            .objects
-            .iter()
-            .map(|o| (o.id, ObjectEntry::new(o, self.object_store.ptr_of(o.id))))
-            .collect();
-        let ctx = GridCtx {
-            mbcs: &mbcs,
-            entries: &entries,
-            states: &self.ref_table,
-        };
-        // Entries whose on-page bytes changed (MBC or record pointer): their
-        // leaves must rewrite pages even when membership is unchanged.
-        let entry_dirty: HashSet<ObjectId> = changed_set.clone();
-
         // Root-level delta classification.
-        let domain = self.domain;
+        let domain = self.router.domain;
         let root_members: HashSet<ObjectId> = match &self.index.nodes[0] {
             GridNode::Leaf { object_ids, .. } | GridNode::Internal { object_ids, .. } => {
                 object_ids.iter().copied().collect()
@@ -637,17 +452,17 @@ impl UvSystem {
         let mut added_root: Vec<ObjectId> = Vec::new();
         let mut removed_root: Vec<ObjectId> = Vec::new();
         let mut changed_root: Vec<ObjectId> = Vec::new();
-        for id in &inserted {
+        for id in added {
             if ctx.overlaps(*id, &domain) {
                 added_root.push(*id);
             }
         }
-        for id in &deleted {
+        for id in removed {
             if root_members.contains(id) {
                 removed_root.push(*id);
             }
         }
-        for id in &dirty {
+        for id in dirty {
             match (root_members.contains(id), ctx.overlaps(*id, &domain)) {
                 (true, true) => changed_root.push(*id),
                 (true, false) => removed_root.push(*id),
@@ -659,7 +474,7 @@ impl UvSystem {
         let prev_budget_bound = self.index.budget_bound;
         let mut repairer = Repairer {
             ctx,
-            entry_dirty: &entry_dirty,
+            entry_dirty,
             grow: GrowStats::default(),
             merges: 0,
         };
@@ -686,7 +501,7 @@ impl UvSystem {
         // the bounded canonical structure in both cases. When the budget
         // never bound and the repaired tree fits the cap, no cold-build
         // decision point can differ, so the replay is skipped entirely.
-        if prev_budget_bound || self.index.nonleaf_count > self.config.max_nonleaf {
+        if prev_budget_bound || self.index.nonleaf_count > self.router.config.max_nonleaf {
             merges += reconcile_budget(&mut self.index, &ctx, &mut grow);
         }
         stats.leaves_refined = grow.leaves_built;
@@ -696,70 +511,15 @@ impl UvSystem {
         self.index.epoch += 1;
         stats.epoch = self.index.epoch;
         stats.total_leaves = self.index.num_leaf_nodes();
-        Ok(stats)
-    }
-
-    /// Extends the indexed domain to `domain` in place: re-derives every
-    /// object (the derivation is domain-seeded, so none survives a domain
-    /// change) and rebuilds the grid canonically over the *existing* object
-    /// and R-tree stores, advancing the epoch by one. A no-op when `domain`
-    /// equals the current one. The configuration was validated when the
-    /// system was first built; the `Result` threads the builder's
-    /// typed-error signature through.
-    pub(crate) fn grow_domain_to(&mut self, domain: Rect) -> Result<(), UvError> {
-        if domain == self.domain {
-            return Ok(());
-        }
-        let index_pages = Arc::new(PageStore::new());
-        let (index, construction, ref_table) = build_uv_index_full(
-            &self.objects,
-            &self.object_store,
-            &self.rtree,
-            domain,
-            index_pages,
-            self.method,
-            self.config,
-        )?;
-        let epoch = self.index.epoch() + 1;
-        self.domain = domain;
-        self.index = index;
-        self.index.epoch = epoch;
-        self.construction = construction;
-        self.ref_table = ref_table;
-        Ok(())
-    }
-
-    /// Finishes a batch whose net difference left the old domain: grows the
-    /// domain in place via [`UvSystem::grow_domain_to`] and fills the stats
-    /// of the implied global re-derivation (every live object is re-derived,
-    /// every leaf rewritten — which is exactly what `rederived_ids` tells
-    /// the sharded layer to reconcile).
-    fn finish_with_domain_growth(
-        &mut self,
-        mut stats: UpdateStats,
-        domain: Rect,
-    ) -> Result<UpdateStats, UvError> {
-        self.grow_domain_to(domain)?;
-        stats.domain_grown = true;
-        stats.objects_rederived = self.objects.len();
-        stats.rederived_ids = self.objects.iter().map(|o| o.id).collect();
-        stats.objects_in_knn_radius = self.objects.len();
-        stats.objects_repartitioned = self.objects.len();
-        stats.leaves_refined = self.index.num_leaf_nodes();
-        stats.total_leaves = self.index.num_leaf_nodes();
-        stats.epoch = self.index.epoch;
-        stats.repaired_rects = vec![self.domain];
-        Ok(stats)
     }
 }
 
 /// The domain-growth policy: doubles the domain away from every violated
 /// side until `needed` fits. Growth is exponential so a staircase of `K`
 /// just-outside inserts costs `O(log)` growth events, and the result is a
-/// pure function of (current domain, needed rectangle) — the sharded
-/// router, its shards and any cold-rebuild oracle all agree on the grown
-/// domain without coordination. Shared with [`crate::router`], whose slim
-/// apply pipeline must grow bit-identically to this one.
+/// pure function of (current domain, needed rectangle) — any cold-rebuild
+/// oracle agrees on the grown domain without coordination. Applied by the
+/// pipeline in [`crate::router`].
 pub(crate) fn grow_domain(mut domain: Rect, needed: &Rect) -> Rect {
     while !domain.contains_rect(needed) {
         let w = domain.width().max(1.0);
@@ -780,10 +540,8 @@ pub(crate) fn grow_domain(mut domain: Rect, needed: &Rect) -> Rect {
     domain
 }
 
-/// Shared op validation: both [`UvSystem::apply`] and the derivation-only
-/// router ([`crate::router`]) must accept and reject exactly the same
-/// objects, or the sharded layer's error behaviour would diverge from the
-/// unsharded oracle.
+/// Op validation of an inserted object: finite centre, finite
+/// non-negative radius. Applied by the pipeline in [`crate::router`].
 pub(crate) fn validate_object(o: &UncertainObject) -> Result<(), UvError> {
     let c = o.center();
     if !c.x.is_finite() || !c.y.is_finite() || !o.radius().is_finite() || o.radius() < 0.0 {
@@ -1171,5 +929,88 @@ mod tests {
         assert!(stats.refine_fraction() < 1.0);
         assert_eq!(stats.total_leaves, sys.index().num_leaf_nodes());
         assert_matches_cold_rebuild(&sys);
+    }
+
+    #[test]
+    fn appearances_inside_the_farthest_seed_keep_reference_lists_exact() {
+        // A subject whose k-NN set holds its eight seeds plus three members
+        // beyond every seed. Each insert lands beyond its own sector's seed
+        // (displacing no seed), outside every d-bound, yet inside the
+        // farthest seed's distance: it takes the k-NN slot of a member
+        // beyond every seed. Three of them exhaust those members; the fourth
+        // evicts the farthest seed itself. Every reference list must equal
+        // a cold derivation after every batch.
+        let at = |deg: f64, dist: f64| {
+            let a = deg.to_radians();
+            Point::new(5_000.0 + dist * a.cos(), 5_000.0 + dist * a.sin())
+        };
+        let mut objects = vec![UncertainObject::with_uniform(0, at(0.0, 0.0), 5.0)];
+        for sector in 0..8u32 {
+            let dist = if sector == 0 { 400.0 } else { 150.0 };
+            objects.push(UncertainObject::with_uniform(
+                1 + sector,
+                at(f64::from(sector) * 45.0 + 22.5, dist),
+                5.0,
+            ));
+        }
+        for (i, (deg, dist)) in [(112.5, 600.0), (292.5, 650.0), (117.5, 700.0)]
+            .into_iter()
+            .enumerate()
+        {
+            objects.push(UncertainObject::with_uniform(
+                20 + i as u32,
+                at(deg, dist),
+                5.0,
+            ));
+        }
+        for (i, corner) in [
+            (500.0, 500.0),
+            (9_500.0, 500.0),
+            (500.0, 9_500.0),
+            (9_500.0, 9_500.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let c = Point::new(corner.0, corner.1);
+            objects.push(UncertainObject::with_uniform(30 + i as u32, c, 5.0));
+        }
+        let domain = Rect::new(0.0, 0.0, 10_000.0, 10_000.0);
+        let config = UvConfig {
+            parallel: false,
+            ..UvConfig::default().with_seed_knn(11).with_num_seeds(8)
+        };
+        let mut sys = UvSystem::build(objects, domain, Method::IC, config).unwrap();
+        let subject = sys.object_state(0).unwrap().sensitivity().clone();
+        let seeds = subject.seed_dists().expect("the subject is boundary-safe");
+        assert!(
+            seeds.iter().all(|d| d.is_finite()),
+            "every sector is seeded"
+        );
+        for (k, (deg, dist)) in [
+            (195.0, 250.0),
+            (200.0, 270.0),
+            (205.0, 290.0),
+            (210.0, 310.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            sys.insert_object(UncertainObject::with_uniform(
+                40 + k as u32,
+                at(deg, dist),
+                5.0,
+            ))
+            .unwrap();
+            let cold = UvSystem::build(sys.objects().to_vec(), domain, Method::IC, config).unwrap();
+            for o in cold.objects() {
+                assert_eq!(
+                    sys.object_state(o.id).unwrap().reference_ids(),
+                    cold.object_state(o.id).unwrap().reference_ids(),
+                    "reference ids of {} are stale after insert {k}",
+                    o.id
+                );
+            }
+        }
     }
 }

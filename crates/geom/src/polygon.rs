@@ -68,15 +68,17 @@ impl Polygon {
     }
 
     /// Point-in-polygon test (ray casting; boundary points count as inside).
+    ///
+    /// Edges are walked from the closing edge `(v[n-1], v[0])` on, each with
+    /// its own orientation, so the verdict — any on-edge hit, else the
+    /// crossing parity — is the same as a walk in any other order.
     pub fn contains(&self, q: Point) -> bool {
         if self.is_empty() {
             return false;
         }
-        let n = self.vertices.len();
         let mut inside = false;
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
+        let mut a = self.vertices[self.vertices.len() - 1];
+        for &b in &self.vertices {
             // Boundary check: q on segment ab.
             if on_segment(a, b, q) {
                 return true;
@@ -89,6 +91,7 @@ impl Polygon {
                     inside = !inside;
                 }
             }
+            a = b;
         }
         inside
     }
@@ -146,32 +149,100 @@ fn signed_area2(vertices: &[Point]) -> f64 {
     acc
 }
 
+/// `true` when `q` lies on the segment `ab` (within `EPS`). The bounding-box
+/// test runs first: it rejects almost every edge of a containment walk
+/// without the cross product or the square root of the length.
 fn on_segment(a: Point, b: Point, q: Point) -> bool {
+    let in_box = q.x >= a.x.min(b.x) - EPS
+        && q.x <= a.x.max(b.x) + EPS
+        && q.y >= a.y.min(b.y) - EPS
+        && q.y <= a.y.max(b.y) + EPS;
+    if !in_box {
+        return false;
+    }
     let cross = Point::orient(a, b, q);
     if cross.abs() > EPS * (1.0 + a.dist(b)) {
         return false;
     }
-    q.x >= a.x.min(b.x) - EPS
-        && q.x <= a.x.max(b.x) + EPS
-        && q.y >= a.y.min(b.y) - EPS
-        && q.y <= a.y.max(b.y) + EPS
+    true
 }
 
 /// Finds a point on the zero level set of `f` on the segment `[keep, drop]`
-/// where `f(keep) >= 0 > f(drop)`, by bisection.
+/// where `f(keep) >= 0 > f(drop)`, by bisection. Each step selects the new
+/// end points without a branch: the sign of `f` at the midpoint is
+/// unpredictable, so a data dependency beats a mispredicted jump.
 fn refine_crossing<F: Fn(Point) -> f64>(f: &F, mut keep: Point, mut drop: Point) -> Point {
     for _ in 0..60 {
         let mid = keep.midpoint(drop);
         if keep.dist(drop) < REFINE_EPS {
             return mid;
         }
-        if f(mid) >= 0.0 {
-            keep = mid;
-        } else {
-            drop = mid;
-        }
+        let kept = f(mid) >= 0.0;
+        keep = if kept { mid } else { keep };
+        drop = if kept { drop } else { mid };
     }
     keep.midpoint(drop)
+}
+
+/// The forms [`Polygon::contains`], [`on_segment`] and [`refine_crossing`]
+/// replaced, kept as the oracle of their bit-identity tests.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn contains(poly: &Polygon, q: Point) -> bool {
+        if poly.is_empty() {
+            return false;
+        }
+        let n = poly.vertices.len();
+        let mut inside = false;
+        for i in 0..n {
+            let a = poly.vertices[i];
+            let b = poly.vertices[(i + 1) % n];
+            if on_segment(a, b, q) {
+                return true;
+            }
+            let intersects = (a.y > q.y) != (b.y > q.y);
+            if intersects {
+                let t = (q.y - a.y) / (b.y - a.y);
+                let x = a.x + t * (b.x - a.x);
+                if x > q.x {
+                    inside = !inside;
+                }
+            }
+        }
+        inside
+    }
+
+    pub(crate) fn on_segment(a: Point, b: Point, q: Point) -> bool {
+        let cross = Point::orient(a, b, q);
+        if cross.abs() > EPS * (1.0 + a.dist(b)) {
+            return false;
+        }
+        q.x >= a.x.min(b.x) - EPS
+            && q.x <= a.x.max(b.x) + EPS
+            && q.y >= a.y.min(b.y) - EPS
+            && q.y <= a.y.max(b.y) + EPS
+    }
+
+    pub(crate) fn refine_crossing<F: Fn(Point) -> f64>(
+        f: &F,
+        mut keep: Point,
+        mut drop: Point,
+    ) -> Point {
+        for _ in 0..60 {
+            let mid = keep.midpoint(drop);
+            if keep.dist(drop) < REFINE_EPS {
+                return mid;
+            }
+            if f(mid) >= 0.0 {
+                keep = mid;
+            } else {
+                drop = mid;
+            }
+        }
+        keep.midpoint(drop)
+    }
 }
 
 /// Clips a polygon against the sign predicate `f`, keeping the part where
@@ -470,6 +541,7 @@ fn dedup_loop(mut pts: Vec<Point>) -> Vec<Point> {
 mod tests {
     use super::*;
     use crate::approx_eq;
+    use proptest::prelude::*;
 
     fn unit_square() -> Vec<Point> {
         vec![
@@ -585,6 +657,79 @@ mod tests {
             "aware area {}",
             aware.area()
         );
+    }
+
+    fn point_in(range: f64) -> impl Strategy<Value = Point> {
+        (-range..range, -range..range).prop_map(|(x, y)| Point::new(x, y))
+    }
+
+    /// A star-shaped loop around the origin: one vertex per angle step at a
+    /// random radius, snapped to a coarse grid half the time so collinear
+    /// edges, shared coordinates and on-edge query points occur.
+    fn star_polygon() -> impl Strategy<Value = Polygon> {
+        (prop::collection::vec(1.0..50.0f64, 3..40), prop::bool::ANY).prop_map(|(radii, snap)| {
+            let n = radii.len();
+            let vertices = radii
+                .iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    let a = std::f64::consts::TAU * i as f64 / n as f64;
+                    let p = Point::new(r * a.cos(), r * a.sin());
+                    if snap {
+                        Point::new(p.x.round(), p.y.round())
+                    } else {
+                        p
+                    }
+                })
+                .collect();
+            Polygon::new(vertices)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The edge walk without `% n` and the box-first `on_segment` give
+        /// the replaced forms' verdicts, on and off the boundary.
+        #[test]
+        fn contains_matches_the_reference(
+            poly in star_polygon(),
+            q in point_in(60.0),
+            pick in 0usize..64,
+            t in 0.0..1.0f64,
+        ) {
+            prop_assert_eq!(poly.contains(q), reference::contains(&poly, q));
+            // A point on (or rounded next to) an edge.
+            let v = poly.vertices();
+            let a = v[pick % v.len()];
+            let b = v[(pick + 1) % v.len()];
+            let on = a.lerp(b, t);
+            prop_assert_eq!(poly.contains(on), reference::contains(&poly, on));
+            prop_assert_eq!(on_segment(a, b, on), reference::on_segment(a, b, on));
+            prop_assert_eq!(on_segment(a, b, q), reference::on_segment(a, b, q));
+            let vertex = v[pick % v.len()];
+            prop_assert_eq!(poly.contains(vertex), reference::contains(&poly, vertex));
+        }
+
+        /// Branch-free bisection returns the replaced form's point, bit for
+        /// bit.
+        #[test]
+        fn refine_crossing_matches_the_reference(
+            center in point_in(100.0),
+            radius in 0.5..80.0f64,
+            inside in point_in(100.0),
+            dir in 0.0..std::f64::consts::TAU,
+        ) {
+            let f = |p: Point| radius - p.dist(center);
+            let keep = if f(inside) >= 0.0 { inside } else { center };
+            let drop = Point::new(
+                center.x + 3.0 * radius * dir.cos(),
+                center.y + 3.0 * radius * dir.sin(),
+            );
+            let a = refine_crossing(&f, keep, drop);
+            let b = reference::refine_crossing(&f, keep, drop);
+            prop_assert_eq!((a.x.to_bits(), a.y.to_bits()), (b.x.to_bits(), b.y.to_bits()));
+        }
     }
 
     #[test]
