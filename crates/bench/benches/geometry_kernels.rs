@@ -1,17 +1,18 @@
 //! Criterion benchmarks of the geometry kernels on the UV-diagram hot path:
-//! possible-region clipping, convex hulls, overlap checking and the
-//! qualification-probability integration — each scalar reference next to its
-//! batched SoA arena counterpart, so the kernel-pass speedup is measured
-//! directly.
+//! possible-region clipping (including the domain-seeded build that opens
+//! every cr-derivation, and the clip's containment test), convex hulls,
+//! overlap checking and the qualification-probability integration — each
+//! scalar reference next to its batched SoA arena counterpart, so the
+//! kernel-pass speedup is measured directly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use uv_core::index::check_overlap;
-use uv_core::PossibleRegion;
+use uv_core::{PossibleRegion, UvConfig};
 use uv_data::{
     qualification_probabilities, EntryArena, KernelArena, ObjectEntry, QuadratureScratch,
     ScreenScratch, UncertainObject,
 };
-use uv_geom::{convex_hull, Circle, ClipScratch, Point, Rect};
+use uv_geom::{convex_hull, Circle, ClipScratch, ContainmentIndex, Point, Polygon, Rect};
 
 fn ring_of_circles(n: usize, center: Point, radius: f64) -> Vec<Circle> {
     (0..n)
@@ -62,6 +63,107 @@ fn bench_region_clip(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+}
+
+/// Eight seeds around `subject`, one per 45° sector, at the distances a
+/// `k = 300` neighbour query finds on 8k uniform objects over 10 km.
+fn sector_seeds(subject: Circle) -> Vec<Circle> {
+    (0..8)
+        .map(|k| {
+            let angle = std::f64::consts::TAU * (k as f64 + 0.3) / 8.0;
+            let dist = 70.0 + 23.0 * ((k * 5) % 8) as f64;
+            Circle::new(
+                Point::new(
+                    subject.center.x + dist * angle.cos(),
+                    subject.center.y + dist * angle.sin(),
+                ),
+                20.0,
+            )
+        })
+        .collect()
+}
+
+/// The opening of every cr-derivation (Algorithm 2, `initPossibleRegion`):
+/// the 10 km domain clipped by eight sector seeds at the paper's curve
+/// fidelity. The first clips trace long curves through large polygons, so
+/// this is where a derivation's clipping cost sits.
+fn bench_seeded_region(c: &mut Criterion) {
+    let config = UvConfig::default();
+    let domain = Rect::square(10_000.0);
+    let max_edge_len = config.max_edge_len(domain.width());
+    let subject = Circle::new(Point::new(5_000.0, 5_000.0), 20.0);
+    let seeds = sector_seeds(subject);
+    c.bench_function("seeded_possible_region_8", |b| {
+        b.iter(|| {
+            let mut region = PossibleRegion::full(subject, &domain);
+            let mut scratch = ClipScratch::default();
+            for seed in &seeds {
+                region.clip_with(*seed, config.curve_samples, max_edge_len, &mut scratch);
+            }
+            std::hint::black_box(region.area())
+        })
+    });
+}
+
+/// The clip's containment test: `Polygon::contains` next to the y-bucketed
+/// `ContainmentIndex` on a traced possible region of ~200 vertices (the
+/// domain after four sector seeds), queried at 256 points spread over its
+/// bounding box. `index_build` is the per-clip cost of indexing that polygon
+/// into reused buffers.
+fn bench_containment(c: &mut Criterion) {
+    let config = UvConfig::default();
+    let domain = Rect::square(10_000.0);
+    let subject = Circle::new(Point::new(5_000.0, 5_000.0), 20.0);
+    let mut region = PossibleRegion::full(subject, &domain);
+    for seed in &sector_seeds(subject)[..4] {
+        region.clip(
+            *seed,
+            config.curve_samples,
+            config.max_edge_len(domain.width()),
+        );
+    }
+    let polygon: &Polygon = region.polygon();
+    let mbr = polygon.mbr();
+    let queries: Vec<Point> = (0..256)
+        .map(|k| {
+            let (i, j) = ((k % 16) as f64 + 0.5, (k / 16) as f64 + 0.5);
+            Point::new(
+                mbr.min_x + mbr.width() * i / 16.0,
+                mbr.min_y + mbr.height() * j / 16.0,
+            )
+        })
+        .collect();
+    let mut group = c.benchmark_group("containment");
+    let vertices = polygon.len();
+    group.bench_with_input(
+        BenchmarkId::new("polygon_contains", vertices),
+        &queries,
+        |b, queries| {
+            b.iter(|| {
+                std::hint::black_box(queries.iter().filter(|q| polygon.contains(**q)).count())
+            })
+        },
+    );
+    let index = ContainmentIndex::new(polygon);
+    group.bench_with_input(
+        BenchmarkId::new("indexed", vertices),
+        &queries,
+        |b, queries| {
+            b.iter(|| std::hint::black_box(queries.iter().filter(|q| index.contains(**q)).count()))
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("index_build", vertices),
+        polygon,
+        |b, polygon| {
+            let mut index = ContainmentIndex::default();
+            b.iter(|| {
+                index.rebuild(polygon);
+                std::hint::black_box(index.contains(subject.center))
+            })
+        },
+    );
     group.finish();
 }
 
@@ -164,7 +266,7 @@ fn bench_fused_screen(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_region_clip, bench_convex_hull, bench_check_overlap, bench_probability,
-        bench_fused_screen
+    targets = bench_region_clip, bench_seeded_region, bench_containment, bench_convex_hull,
+        bench_check_overlap, bench_probability, bench_fused_screen
 }
 criterion_main!(benches);

@@ -20,7 +20,8 @@
 //! suitable for committing as `BENCH_*.json` and diffing across PRs;
 //! `--grow` makes every churn step insert past the current boundary, so the
 //! churn table doubles as a domain-growth latency profile (no step may cost
-//! a rebuild-style cliff); `--reshard` makes the shard experiment run an
+//! a rebuild-style cliff; each step is timed as the median of three runs of
+//! the same seeded sequence); `--reshard` makes the shard experiment run an
 //! elastic hot-split + cold-merge cycle per grid, re-verifying bit-identity
 //! after each step and snapshotting the resulting non-uniform layout.
 
@@ -373,7 +374,10 @@ fn main() {
     // rely on the exit code.
     let mut verification_failed = false;
     if wants("churn") {
-        let (rows, summary) = churn::churn_experiment(&scale, 5, grow_churn);
+        // A --grow run judges wall-clock latency, so each step is timed as
+        // the median of three runs of the same seeded sequence.
+        let trials = if grow_churn { 3 } else { 1 };
+        let (rows, summary) = churn::churn_experiment(&scale, 5, grow_churn, trials);
         verification_failed |= !summary.verified;
         if grow_churn {
             // Every --grow step triggers an in-place domain growth; a step

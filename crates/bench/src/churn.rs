@@ -167,14 +167,49 @@ fn churn_batch(sys: &UvSystem, rng: &mut XorShift, next_id: &mut u32, grow: bool
     batch
 }
 
-/// Runs the churn experiment: builds the system, applies `steps` churn
-/// batches (each also growing the domain when `grow` is set), verifies the
-/// final state against a cold rebuild.
+/// Runs the churn experiment `trials` times over the same seeded sequence:
+/// builds the system, applies `steps` churn batches (each also growing the
+/// domain when `grow` is set), verifies the final state against a cold
+/// rebuild.
+///
+/// Every trial does the same work, so the counters are one trial's; each
+/// step's `apply_ms`, the incremental total and the rebuild time are the
+/// medians over the trials. The state only verifies when every trial does
+/// and all trials agree on every counter.
 pub fn churn_experiment(
     scale: &ExperimentScale,
     steps: usize,
     grow: bool,
+    trials: usize,
 ) -> (Vec<ChurnRow>, ChurnSummary) {
+    let mut runs: Vec<(Vec<ChurnRow>, ChurnSummary)> = (0..trials.max(1))
+        .map(|_| churn_trial(scale, steps, grow))
+        .collect();
+    let median = |mut times: Vec<f64>| {
+        times.sort_by(f64::total_cmp);
+        times[times.len() / 2]
+    };
+    let rebuild_ms = median(runs.iter().map(|(_, s)| s.rebuild_ms).collect());
+    let agree = runs.iter().all(|(rows, s)| {
+        s.verified
+            && rows.len() == runs[0].0.len()
+            && rows.iter().zip(&runs[0].0).all(|(a, b)| a.stats == b.stats)
+    });
+    let step_ms: Vec<f64> = (0..runs[0].0.len())
+        .map(|k| median(runs.iter().map(|(rows, _)| rows[k].apply_ms).collect()))
+        .collect();
+    let (mut rows, mut summary) = runs.swap_remove(0);
+    for (row, ms) in rows.iter_mut().zip(step_ms) {
+        row.apply_ms = ms;
+    }
+    summary.incremental_ms = rows.iter().map(|r| r.apply_ms).sum();
+    summary.rebuild_ms = rebuild_ms;
+    summary.verified = agree;
+    (rows, summary)
+}
+
+/// One trial of [`churn_experiment`].
+fn churn_trial(scale: &ExperimentScale, steps: usize, grow: bool) -> (Vec<ChurnRow>, ChurnSummary) {
     let n = scale.scaled(20_000);
     let dataset = Dataset::generate(GeneratorConfig::paper_uniform(n));
     let config = dynamic_config(n);
@@ -291,7 +326,7 @@ mod tests {
             size_factor: 0.05, // 1_000 objects
             ..ExperimentScale::default()
         };
-        let (rows, summary) = churn_experiment(&scale, 5, false);
+        let (rows, summary) = churn_experiment(&scale, 5, false, 1);
         assert_eq!(summary.initial_objects, 1_000);
         assert_eq!(summary.growth_events, 0);
         assert!(summary.ops_per_step >= 10);
@@ -335,7 +370,9 @@ mod tests {
             size_factor: 0.01,
             ..ExperimentScale::default()
         };
-        let (rows, summary) = churn_experiment(&scale, 2, false);
+        // Two trials: `verified` also requires them to agree on every
+        // counter, which the seeded sequence guarantees.
+        let (rows, summary) = churn_experiment(&scale, 2, false, 2);
         assert_eq!(rows.len(), 2);
         assert!(summary.verified);
         assert_eq!(churn_rows(&rows).len(), 2);
@@ -358,7 +395,7 @@ mod tests {
             size_factor: 0.01, // 200 objects
             ..ExperimentScale::default()
         };
-        let (rows, summary) = churn_experiment(&scale, 5, true);
+        let (rows, summary) = churn_experiment(&scale, 5, true, 1);
         assert!(summary.verified, "grown state diverged from a cold rebuild");
         assert_eq!(summary.growth_events, 5, "every --grow step must grow");
         let mut live = summary.initial_objects;

@@ -22,16 +22,16 @@
 
 use crate::cell::build_exact_cell;
 use crate::config::UvConfig;
-use crate::crobjects::{derive_cr_objects, UpdateSensitivity};
+use crate::crobjects::{derive_cr_objects_with, UpdateSensitivity};
 use crate::index::{check_overlap, GridNode, UvIndex};
 use crate::router::{derive_table, DerivationReport};
 use crate::stats::{ConstructionStats, PruneStats};
 use crate::update::RefTable;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use uv_data::{ObjectEntry, ObjectId, ObjectStore, UncertainObject};
-use uv_geom::{Circle, Rect};
+use uv_geom::{Circle, ClipScratch, Rect};
 use uv_rtree::RTree;
 use uv_store::{PageStore, PagedList};
 
@@ -167,6 +167,21 @@ pub(crate) fn entries_of(
         .collect()
 }
 
+impl PerObject {
+    /// The slot of `id` before its derivation has run.
+    fn pending(id: ObjectId) -> Self {
+        Self {
+            id,
+            reference_ids: Vec::new(),
+            sensitivity: UpdateSensitivity::always_affected(),
+            prune: PruneStats::default(),
+            prune_time: Duration::ZERO,
+            refine_time: Duration::ZERO,
+        }
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn derive_one(
     subject: &UncertainObject,
     objects: &[UncertainObject],
@@ -175,6 +190,7 @@ pub(crate) fn derive_one(
     domain: &Rect,
     config: &UvConfig,
     method: Method,
+    scratch: &mut ClipScratch,
 ) -> PerObject {
     match method {
         Method::Basic => {
@@ -207,7 +223,7 @@ pub(crate) fn derive_one(
         }
         Method::ICR => {
             let t = Instant::now();
-            let cr = derive_cr_objects(subject, rtree, objects, domain, config);
+            let cr = derive_cr_objects_with(subject, rtree, objects, domain, config, scratch);
             let prune_time = t.elapsed();
             let t = Instant::now();
             let cr_objects: Vec<&UncertainObject> = cr
@@ -228,7 +244,7 @@ pub(crate) fn derive_one(
         }
         Method::IC => {
             let t = Instant::now();
-            let cr = derive_cr_objects(subject, rtree, objects, domain, config);
+            let cr = derive_cr_objects_with(subject, rtree, objects, domain, config, scratch);
             PerObject {
                 id: subject.id,
                 reference_ids: cr.cr_ids,
@@ -245,6 +261,11 @@ pub(crate) fn derive_one(
 /// fanning out over threads when the configuration allows and the subset is
 /// large enough to amortise the spawns. Called only by [`crate::router`]:
 /// over every object for a full table, over the affected set per batch.
+///
+/// Workers take subjects one at a time from a shared cursor, so a thread
+/// that drew cheap derivations keeps going while another finishes an
+/// expensive one, and each writes its result into the subject's own slot:
+/// the output is in subject order, identical to a sequential pass.
 pub(crate) fn derive_subset(
     subjects: &[&UncertainObject],
     objects: &[UncertainObject],
@@ -254,33 +275,34 @@ pub(crate) fn derive_subset(
     config: &UvConfig,
     method: Method,
 ) -> Vec<PerObject> {
+    let derive = |o: &UncertainObject, scratch: &mut ClipScratch| {
+        derive_one(o, objects, by_id, rtree, domain, config, method, scratch)
+    };
     if !(config.parallel && subjects.len() > 64) {
-        return subjects
-            .iter()
-            .map(|o| derive_one(o, objects, by_id, rtree, domain, config, method))
-            .collect();
+        let mut scratch = ClipScratch::default();
+        return subjects.iter().map(|o| derive(o, &mut scratch)).collect();
     }
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(subjects.len());
-    let chunk_size = subjects.len().div_ceil(threads);
-    let mut results: Vec<PerObject> = Vec::with_capacity(subjects.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = subjects
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|o| derive_one(o, objects, by_id, rtree, domain, config, method))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            results.extend(h.join().expect("derivation thread panicked"));
+    let mut results: Vec<PerObject> = subjects.iter().map(|o| PerObject::pending(o.id)).collect();
+    let cursor = Mutex::new(subjects.iter().zip(results.iter_mut()));
+    let work = || {
+        let mut scratch = ClipScratch::default();
+        loop {
+            let next = cursor.lock().expect("a derivation worker panicked").next();
+            let Some((subject, slot)) = next else {
+                return;
+            };
+            *slot = derive(subject, &mut scratch);
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
     results
 }
@@ -296,13 +318,22 @@ pub(crate) struct GridCtx<'a> {
 impl GridCtx<'_> {
     /// Algorithm 5 via the reference objects of `id`.
     pub(crate) fn overlaps(&self, id: ObjectId, region: &Rect) -> bool {
-        let subject = self.mbcs[&id];
-        let crs: Vec<Circle> = self.states[&id]
-            .reference_ids
-            .iter()
-            .filter_map(|r| self.mbcs.get(r).copied())
-            .collect();
+        let mut crs = Vec::new();
+        let subject = self.gather(id, &mut crs);
         check_overlap(subject, &crs, region)
+    }
+
+    /// The MBC of `id`, with the MBCs of its reference objects written to
+    /// `crs` in reference order — the inputs of every overlap test of `id`.
+    fn gather(&self, id: ObjectId, crs: &mut Vec<Circle>) -> Circle {
+        crs.clear();
+        crs.extend(
+            self.states[&id]
+                .reference_ids
+                .iter()
+                .filter_map(|r| self.mbcs.get(r).copied()),
+        );
+        self.mbcs[&id]
     }
 }
 
@@ -353,9 +384,12 @@ pub(crate) fn split_members(
     }
     let quadrants = region.quadrants();
     let mut parts: [Vec<ObjectId>; 4] = Default::default();
+    // One gather of a member's referenced MBCs serves all four quadrants.
+    let mut crs = Vec::new();
     for id in members {
+        let subject = ctx.gather(*id, &mut crs);
         for (k, quadrant) in quadrants.iter().enumerate() {
-            if ctx.overlaps(*id, quadrant) {
+            if check_overlap(subject, &crs, quadrant) {
                 parts[k].push(*id);
             }
         }

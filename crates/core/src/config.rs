@@ -14,7 +14,8 @@ pub struct UvConfig {
     /// Edge-subdivision granularity of clipping, expressed as a fraction of
     /// the domain side: polygon edges longer than
     /// `domain_side * max_edge_len_fraction` are subdivided before sign
-    /// evaluation so mid-edge incursions are not missed.
+    /// evaluation so mid-edge incursions are not missed. Finite and
+    /// non-negative; `0.0` disables subdivision.
     pub max_edge_len_fraction: f64,
     /// `k` of the seed-selection k-NN query (the paper uses 300).
     pub seed_knn: usize,
@@ -118,6 +119,13 @@ impl UvConfig {
         }
         if self.seed_knn == 0 {
             return Err(UvError::InvalidConfig("seed_knn must be positive"));
+        }
+        // NaN, infinite and negative fractions would each silently switch
+        // subdivision off; only an explicit 0 means that.
+        if !self.max_edge_len_fraction.is_finite() || self.max_edge_len_fraction < 0.0 {
+            return Err(UvError::InvalidConfig(
+                "max_edge_len_fraction must be finite and non-negative",
+            ));
         }
         if !(0.0..=1.0).contains(&self.split_threshold) {
             return Err(UvError::InvalidConfig("split_threshold must lie in [0, 1]"));
@@ -361,6 +369,21 @@ mod tests {
         }
         .validate()
         .is_err());
+        for fraction in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.01] {
+            assert!(UvConfig {
+                max_edge_len_fraction: fraction,
+                ..base
+            }
+            .validate()
+            .is_err());
+        }
+        // Zero keeps meaning "no subdivision".
+        assert!(UvConfig {
+            max_edge_len_fraction: 0.0,
+            ..base
+        }
+        .validate()
+        .is_ok());
         assert!(UvConfig {
             safe_region_min_radius_fraction: -0.1,
             ..base

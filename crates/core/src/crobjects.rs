@@ -341,6 +341,26 @@ pub fn derive_cr_objects(
     domain: &Rect,
     config: &UvConfig,
 ) -> CrObjects {
+    derive_cr_objects_with(
+        subject,
+        rtree,
+        all_objects,
+        domain,
+        config,
+        &mut ClipScratch::default(),
+    )
+}
+
+/// [`derive_cr_objects`] clipping through the caller's scratch buffers, so
+/// a worker deriving many subjects allocates them once.
+pub(crate) fn derive_cr_objects_with(
+    subject: &UncertainObject,
+    rtree: &RTree,
+    all_objects: &[UncertainObject],
+    domain: &Rect,
+    config: &UvConfig,
+    clip_scratch: &mut ClipScratch,
+) -> CrObjects {
     let total_others = all_objects.len().saturating_sub(1);
     let ci = subject.center();
     let max_edge_len = config.max_edge_len(domain.width().max(domain.height()));
@@ -381,14 +401,8 @@ pub fn derive_cr_objects(
     }
 
     let mut region = PossibleRegion::full(subject.mbc(), domain);
-    let mut clip_scratch = ClipScratch::default();
     for seed in &seeds {
-        region.clip_with(
-            seed.mbc,
-            config.curve_samples,
-            max_edge_len,
-            &mut clip_scratch,
-        );
+        region.clip_with(seed.mbc, config.curve_samples, max_edge_len, clip_scratch);
     }
 
     // ---- Step 2: I-pruning (Lemma 2) -----------------------------------------

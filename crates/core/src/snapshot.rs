@@ -936,6 +936,31 @@ mod tests {
     }
 
     #[test]
+    fn persisted_config_with_a_nan_edge_fraction_fails_to_load() {
+        let (_, sys) = fixture(60);
+        let mut bytes = snapshot_bytes(&sys);
+        // Forge a self-consistent snapshot whose CONFIG section — the first
+        // one, after magic(8) + version(4) + fingerprint(8) and its own
+        // tag(1) + len(8) — persists a NaN subdivision fraction: payload,
+        // section checksum and header fingerprint all agree.
+        let forged = to_bytes(&UvConfig {
+            max_edge_len_fraction: f64::NAN,
+            ..*sys.config()
+        });
+        assert_eq!(bytes[20], tag::CONFIG);
+        let start = 8 + 4 + 8 + 1 + 8;
+        let end = start + forged.len();
+        bytes[start..end].copy_from_slice(&forged);
+        bytes[end..end + 8].copy_from_slice(&fnv64(&forged).to_le_bytes());
+        bytes[12..20].copy_from_slice(&fnv64(&forged).to_le_bytes());
+        let err = UvSystem::load_snapshot(&mut bytes.as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, UvError::SnapshotCorrupt(m) if m.contains("max_edge_len_fraction")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn ref_table_section_persists_d_bounds_as_bare_vertices() {
         // Format-2 size regression, checked against the *actual bytes*: the
         // REF_TABLE section must be exactly as long as the hull-vertex

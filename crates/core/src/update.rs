@@ -193,7 +193,7 @@ impl UpdateBatch {
 /// Statistics of one applied update batch — in particular the *locality*
 /// counters the churn experiment reports: how many leaves the repair
 /// actually rewrote versus the leaf count a full rebuild would have written.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UpdateStats {
     /// Net object insertions.
     pub inserted: usize,

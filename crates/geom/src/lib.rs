@@ -31,7 +31,9 @@ pub use circle::Circle;
 pub use hull::{convex_hull, hull_contains};
 pub use hyperbola::{Hyperbola, OutsideRegion};
 pub use point::Point;
-pub use polygon::{clip_keep, clip_keep_traced, clip_keep_traced_with, ClipScratch, Polygon};
+pub use polygon::{
+    clip_keep, clip_keep_traced, clip_keep_traced_with, ClipScratch, ContainmentIndex, Polygon,
+};
 pub use rect::Rect;
 
 /// Default absolute tolerance for geometric comparisons.
