@@ -332,11 +332,7 @@ mod tests {
         assert!(summary.ops_per_step >= 10);
         assert!(summary.verified, "final state diverged from a cold rebuild");
         for row in &rows {
-            assert!(
-                !row.stats.full_rebuild,
-                "step {} unexpectedly fell back to a full rebuild",
-                row.step
-            );
+            assert_eq!(row.stats.epoch, row.step as u64, "one epoch per step");
             assert!(
                 row.stats.refine_fraction() <= 0.10,
                 "step {} refined {:.1}% of {} leaves (limit 10%)",
@@ -402,11 +398,7 @@ mod tests {
         let mut work: Vec<usize> = Vec::with_capacity(rows.len());
         for row in &rows {
             let s = &row.stats;
-            assert!(
-                !s.full_rebuild,
-                "step {} fell back to a full rebuild",
-                row.step
-            );
+            assert_eq!(s.epoch, row.step as u64, "one epoch per step");
             assert!(s.domain_grown, "step {} did not grow", row.step);
             live = live + s.inserted - s.deleted;
             assert_eq!(

@@ -7,7 +7,8 @@
 //! serving layer:
 //!
 //! * **Batched execution** — [`QueryEngine::pnn_batch`] fans a batch out over
-//!   a scoped worker pool. The storage layer is already thread-safe
+//!   the crate's scoped worker pool (`fan_out`, shared with the subscription
+//!   engine and the shard layer). The storage layer is already thread-safe
 //!   ([`uv_store::PageStore`] uses a reader-writer lock, its I/O counters are
 //!   atomic), so workers share the index and object store without copying.
 //! * **Per-leaf memoization** — queries landing in the same leaf reuse the
@@ -27,6 +28,8 @@
 //! *The paper-to-code map for the whole workspace — every definition, lemma,
 //! algorithm and experiment of the paper, with its module and key functions —
 //! lives in `docs/PAPER_MAP.md` at the repository root.*
+
+#![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
 use crate::index::UvIndex;
 use std::collections::HashSet;
@@ -234,6 +237,45 @@ pub(crate) fn prescreen_entries(mut entries: Vec<ObjectEntry>, region: &Rect) ->
     entries
 }
 
+/// The crate's one worker pool: runs `f` over `items` on up to `workers`
+/// scoped threads, each taking one contiguous chunk of
+/// `items.len().div_ceil(workers)` items with its own scratch `S`, and
+/// returns the results in item order. With one worker, or at most one item,
+/// everything runs on the calling thread over one scratch. A worker's panic
+/// is re-raised on the caller with its original payload.
+pub(crate) fn fan_out<T: Send, S: Default, R: Send>(
+    workers: usize,
+    items: Vec<T>,
+    f: impl Fn(&mut S, T) -> R + Sync,
+) -> Vec<R> {
+    let run = |chunk: Vec<T>| {
+        let mut scratch = S::default();
+        chunk
+            .into_iter()
+            .map(|item| f(&mut scratch, item))
+            .collect::<Vec<R>>()
+    };
+    if workers <= 1 || items.len() <= 1 {
+        return run(items);
+    }
+    let chunk_size = items.len().div_ceil(workers);
+    let mut items = items.into_iter();
+    let chunks = std::iter::from_fn(|| {
+        let chunk: Vec<T> = items.by_ref().take(chunk_size).collect();
+        (!chunk.is_empty()).then_some(chunk)
+    });
+    std::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> = chunks
+            .map(|chunk| scope.spawn(move || run(chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
 /// A concurrent batched PNN query engine over a shared read-only
 /// [`UvIndex`] — the serving layer the `docs/PAPER_MAP.md` Section V-A row
 /// describes alongside the paper's single-point lookup.
@@ -390,17 +432,16 @@ impl<'a> QueryEngine<'a> {
     /// the derivation context alongside the answer. `None` when `q` lies
     /// outside the domain. The answer is bit-identical to
     /// [`QueryEngine::pnn`].
-    pub(crate) fn derive_at(&self, q: Point) -> Option<DeriveResult> {
+    pub(crate) fn derive_at(&self, q: Point, scratch: &mut EngineScratch) -> Option<DeriveResult> {
         let t_traversal = Instant::now();
         let leaf = self.index.locate_leaf(q)?;
         let (arena, io, arena_reused) = self.leaf_arena(leaf);
-        let mut scratch = EngineScratch::default();
         let (answer, candidates, clearance) = verify_and_refine_arena(
             self.objects,
             q,
             self.integration_steps,
             arena.get(),
-            &mut scratch,
+            scratch,
             io,
             t_traversal,
         );
@@ -442,7 +483,7 @@ impl<'a> QueryEngine<'a> {
                 return (answer, true);
             }
         }
-        let Some(d) = self.derive_at(q) else {
+        let Some(d) = self.derive_at(q, &mut EngineScratch::default()) else {
             *reuse = None;
             return (PnnAnswer::default(), false);
         };
@@ -472,34 +513,9 @@ impl<'a> QueryEngine<'a> {
     /// loop; only the timing/I/O breakdowns differ (cache hits read no
     /// pages).
     pub fn pnn_batch(&self, queries: &[Point]) -> Vec<PnnAnswer> {
-        if self.workers <= 1 || queries.len() <= 1 {
-            let mut scratch = EngineScratch::default();
-            return queries
-                .iter()
-                .map(|q| self.pnn_with(*q, &mut scratch))
-                .collect();
-        }
-        let chunk_size = queries.len().div_ceil(self.workers);
-        let mut answers = Vec::with_capacity(queries.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut scratch = EngineScratch::default();
-                        chunk
-                            .iter()
-                            .map(|q| self.pnn_with(*q, &mut scratch))
-                            .collect()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let chunk_answers: Vec<PnnAnswer> = handle.join().expect("query worker panicked");
-                answers.extend(chunk_answers);
-            }
-        });
-        answers
+        fan_out(self.workers, queries.to_vec(), |scratch, q| {
+            self.pnn_with(q, scratch)
+        })
     }
 
     /// Like [`QueryEngine::pnn_batch`], additionally returning the wall-clock
@@ -558,6 +574,7 @@ pub(crate) fn trajectory_steps(
 }
 
 #[cfg(test)]
+#[allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::system::UvSystem;

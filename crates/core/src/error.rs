@@ -17,10 +17,8 @@ pub enum UvError {
     UnknownClient(u64),
     /// A subscribe used a client id that is already registered.
     DuplicateClient(u64),
-    /// The query point lies outside the indexed domain.
-    OutOfDomain,
-    /// The index was built over an empty dataset.
-    EmptyIndex,
+    /// A point has a non-finite coordinate (e.g. a subscription position).
+    InvalidPoint,
     /// An underlying I/O operation failed (snapshot file access).
     Io(String),
     /// A snapshot failed structural validation: bad magic, a checksum or
@@ -56,8 +54,7 @@ impl fmt::Display for UvError {
             UvError::DuplicateClient(id) => {
                 write!(f, "subscription client id {id} is already registered")
             }
-            UvError::OutOfDomain => write!(f, "query point lies outside the indexed domain"),
-            UvError::EmptyIndex => write!(f, "the index contains no objects"),
+            UvError::InvalidPoint => write!(f, "point has a non-finite coordinate"),
             UvError::Io(msg) => write!(f, "snapshot I/O failed: {msg}"),
             UvError::SnapshotCorrupt(msg) => write!(f, "snapshot corrupt: {msg}"),
             UvError::SnapshotVersionMismatch { found, supported } => write!(
@@ -111,8 +108,7 @@ mod tests {
             UvError::DuplicateClient(7).to_string(),
             "subscription client id 7 is already registered"
         );
-        assert!(UvError::OutOfDomain.to_string().contains("outside"));
-        assert!(UvError::EmptyIndex.to_string().contains("no objects"));
+        assert!(UvError::InvalidPoint.to_string().contains("non-finite"));
         assert!(UvError::Io("disk on fire".into())
             .to_string()
             .contains("disk on fire"));
@@ -148,7 +144,7 @@ mod tests {
 
     #[test]
     fn is_std_error() {
-        let e: Box<dyn std::error::Error> = Box::new(UvError::EmptyIndex);
+        let e: Box<dyn std::error::Error> = Box::new(UvError::InvalidPoint);
         assert!(e.source().is_none());
     }
 }

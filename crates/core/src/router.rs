@@ -50,8 +50,8 @@
 //! # Persistence
 //!
 //! `DerivationRouter::write_state` (crate-internal) persists config,
-//! method, domain, epoch, objects and the reference table (reusing the
-//! unsharded snapshot's per-object encoding, d-bounds as bare hull
+//! method, domain, epoch, objects and the reference table (through the
+//! unsharded snapshot's reference-table codec, d-bounds as bare hull
 //! vertices). The R-tree is **not** persisted: STR packing is a pure
 //! function of the object set, so `DerivationRouter::read_state` rebuilds
 //! it bit-identically with
@@ -62,7 +62,7 @@
 use crate::builder::{derive_subset, Method};
 use crate::config::UvConfig;
 use crate::crobjects::ChangeImpact;
-use crate::snapshot::{read_object_state, write_object_state};
+use crate::snapshot::{read_ref_table, write_ref_table};
 use crate::update::{
     grow_domain, validate_object, ObjectState, RefTable, UpdateBatch, UpdateOp, UpdateStats,
 };
@@ -72,7 +72,7 @@ use std::io::{self, Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uv_data::{ObjectId, ObjectStore, UncertainObject};
-use uv_geom::{Circle, Point, Rect};
+use uv_geom::{Circle, Rect};
 use uv_rtree::RTree;
 use uv_store::codec::{Decode, Encode};
 use uv_store::PageStore;
@@ -633,7 +633,7 @@ impl DerivationRouter {
 
     /// Serialises the router's persistent state: config, method, domain,
     /// epoch, objects and the reference table (the unsharded snapshot's
-    /// per-object encoding — d-bounds as bare hull vertices). The R-tree
+    /// REF_TABLE encoding — d-bounds as bare hull vertices). The R-tree
     /// is deliberately absent: STR packing is a pure function of the
     /// object set, so [`DerivationRouter::read_state`] rebuilds it
     /// bit-identically.
@@ -643,15 +643,7 @@ impl DerivationRouter {
         self.domain.write_to(w)?;
         self.epoch.write_to(w)?;
         self.objects.write_to(w)?;
-        let mut entries: Vec<(u32, &ObjectState)> =
-            self.ref_table.iter().map(|(id, s)| (*id, s)).collect();
-        entries.sort_unstable_by_key(|(id, _)| *id);
-        entries.len().write_to(w)?;
-        for (id, state) in &entries {
-            id.write_to(w)?;
-            write_object_state(state, w)?;
-        }
-        Ok(())
+        write_ref_table(&self.ref_table, w)
     }
 
     /// The size of the router's persistent-state encoding in bytes —
@@ -677,30 +669,7 @@ impl DerivationRouter {
         let domain = Rect::read_from(r)?;
         let epoch = u64::read_from(r)?;
         let objects: Vec<UncertainObject> = Vec::read_from(r)?;
-        let entries = usize::read_from(r)?;
-        let centers: HashMap<u32, Point> = objects.iter().map(|o| (o.id, o.center())).collect();
-        let mut ref_table = RefTable::with_capacity(entries.min(4_096));
-        for _ in 0..entries {
-            let id = u32::read_from(r)?;
-            let Some(center) = centers.get(&id) else {
-                return Err(UvError::SnapshotCorrupt(format!(
-                    "router reference table names unknown object {id}"
-                )));
-            };
-            let state = read_object_state(*center, r)?;
-            if ref_table.insert(id, state).is_some() {
-                return Err(UvError::SnapshotCorrupt(format!(
-                    "object {id} appears twice in the router reference table"
-                )));
-            }
-        }
-        if ref_table.len() != objects.len()
-            || objects.iter().any(|o| !ref_table.contains_key(&o.id))
-        {
-            return Err(UvError::SnapshotCorrupt(
-                "router reference table does not cover the live object set".into(),
-            ));
-        }
+        let ref_table = read_ref_table(&objects, r)?;
         let rtree = RTree::build_index_only(&objects, Arc::new(PageStore::new()));
         Ok(Self {
             objects,
@@ -720,6 +689,7 @@ mod tests {
     use super::*;
     use crate::system::UvSystem;
     use uv_data::{Dataset, GeneratorConfig};
+    use uv_geom::Point;
 
     fn fixture(n: usize) -> (Dataset, UvSystem, DerivationRouter) {
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(n));

@@ -66,9 +66,9 @@
 //! When the router grows its domain in place ([`UpdateStats::domain_grown`])
 //! the shard *geometry* grows with it — only the outermost axis boundaries
 //! move, interior split lines stay pinned, so interior shard rectangles are
-//! bit-unchanged and the layout survives every update batch unchanged
-//! ([`ShardedUpdateStats::resharded`] stays `false` forever) — and every
-//! shard re-indexes the grown domain from the router's re-derived table.
+//! bit-unchanged and the grid dimensions survive every update batch — and
+//! every shard re-indexes the grown domain from the router's re-derived
+//! table.
 //!
 //! # Elastic resharding
 //!
@@ -113,7 +113,7 @@
 
 use crate::builder::{mbcs_of, Method};
 use crate::config::UvConfig;
-use crate::engine::{trajectory_steps, QueryEngine, StepReuse, TrajectoryStep};
+use crate::engine::{fan_out, trajectory_steps, QueryEngine, StepReuse, TrajectoryStep};
 use crate::router::{Change, DerivationReport, DerivationRouter, NetDiff};
 use crate::snapshot::{FORMAT_VERSION, SECTION_OVERHEAD};
 use crate::system::UvSystem;
@@ -162,17 +162,14 @@ pub struct ShardedUpdateStats {
     /// Object replicas removed across shards (membership lost: genuine
     /// deletes plus halo shrinkage).
     pub replicas_removed: usize,
-    /// Always `false`: applying a batch never changes the shard layout —
-    /// domain growth extends the geometry in place, and elastic resharding
-    /// is a separate explicit operation ([`ShardedUvSystem::split_shard`],
-    /// [`ShardedUvSystem::merge_shards`], [`ShardedUvSystem::maybe_reshard`])
-    /// reporting through [`ReshardStats`]. Retained for API stability and
-    /// as the adversarial suite's assertion target
-    /// (`tests/proptest_shard.rs`).
-    pub resharded: bool,
     /// `true` when the router grew its domain in place this batch; the shard
     /// geometry grew with it (outer boundaries only — interior rectangles
     /// are bit-unchanged) and every shard re-indexed the grown domain.
+    /// Applying a batch never changes the layout otherwise: elastic
+    /// resharding is a separate explicit operation
+    /// ([`ShardedUvSystem::split_shard`], [`ShardedUvSystem::merge_shards`],
+    /// [`ShardedUvSystem::maybe_reshard`]) reporting through
+    /// [`ReshardStats`].
     pub domain_grown: bool,
 }
 
@@ -346,26 +343,14 @@ fn shard_members(router: &DerivationRouter, rects: &[Rect]) -> Vec<Vec<Uncertain
     members
 }
 
-/// Runs `f` over `items` — one scoped thread per item when `parallel` and
-/// there is more than one item, a plain sequential loop otherwise. Results
-/// come back in item order. The single fan-out policy of this module:
-/// shard builds, batched query routing, update reconciliation and reshard
-/// rebuilds all go through here.
-fn fan_out<T: Send, R: Send>(parallel: bool, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    if parallel && items.len() > 1 {
-        std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = items
-                .into_iter()
-                .map(|item| scope.spawn(move || f(item)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard fan-out worker panicked"))
-                .collect()
-        })
+/// Pool workers of a per-shard fan-out: a thread per job when
+/// `config.parallel`, the calling thread otherwise. Shard builds, batched
+/// query routing, update reconciliation and reshard rebuilds all use it.
+fn shard_workers(config: &UvConfig) -> usize {
+    if config.parallel {
+        usize::MAX
     } else {
-        items.into_iter().map(f).collect()
+        1
     }
 }
 
@@ -378,7 +363,7 @@ fn build_shard_systems(
     router: &DerivationRouter,
     mbcs: &HashMap<ObjectId, Circle>,
 ) -> Vec<UvSystem> {
-    fan_out(router.config.parallel, member_sets, |members| {
+    fan_out(shard_workers(&router.config), member_sets, |(), members| {
         UvSystem::routed(members, router, mbcs)
     })
 }
@@ -707,7 +692,7 @@ impl ShardedUvSystem {
             .enumerate()
             .filter(|(_, group)| !group.is_empty())
             .collect();
-        let results = fan_out(self.config().parallel, jobs, |(s, group)| {
+        let results = fan_out(shard_workers(self.config()), jobs, |(), (s, group)| {
             let points: Vec<Point> = group.iter().map(|(_, q)| *q).collect();
             (group, self.shards[s].pnn_batch(&points))
         });
@@ -770,8 +755,8 @@ impl ShardedUvSystem {
     /// batch grew the router's domain in place, the shard geometry grows
     /// with it first — only the outer ring of rectangles changes, every
     /// shard re-indexes the grown domain from the router's table, and the
-    /// layout is never rebuilt ([`ShardedUpdateStats::resharded`] stays
-    /// `false`).
+    /// layout is never rebuilt (the grid dimensions and interior split lines
+    /// stay as they are).
     pub fn apply(&mut self, batch: UpdateBatch) -> Result<ShardedUpdateStats, UvError> {
         let change = self.router.apply_change(batch)?;
         let mut stats = ShardedUpdateStats {
@@ -812,11 +797,15 @@ impl ShardedUvSystem {
             .filter(|(_, (_, delta))| regrown || !delta.is_empty() || !delta.refreshed.is_empty())
             .map(|(s, (shard, delta))| (s, shard, delta))
             .collect();
-        let outcomes = fan_out(router.config.parallel, jobs, |(s, shard, delta)| {
-            let repaired = regrown || !delta.is_empty();
-            let shard_stats = reconcile_shard(shard, delta, router, &live, &mbcs, regrown);
-            (s, repaired, shard_stats)
-        });
+        let outcomes = fan_out(
+            shard_workers(&router.config),
+            jobs,
+            |(), (s, shard, delta)| {
+                let repaired = regrown || !delta.is_empty();
+                let shard_stats = reconcile_shard(shard, delta, router, &live, &mbcs, regrown);
+                (s, repaired, shard_stats)
+            },
+        );
         for (s, repaired, shard_stats) in outcomes {
             if repaired {
                 stats.shards_touched += 1;
@@ -1335,6 +1324,29 @@ mod tests {
         }
     }
 
+    /// Applying a batch never changes the layout: the grid dimensions stay,
+    /// and every split line off the domain boundary is bit-unchanged (domain
+    /// growth moves only the outer boundaries), so interior rectangles are
+    /// bit-unchanged.
+    fn assert_layout_kept(sharded: &ShardedUvSystem, dims: (usize, usize), before: &[Rect]) {
+        assert_eq!(sharded.grid_dims(), dims, "apply changed the grid");
+        let (nx, ny) = dims;
+        for (i, (a, b)) in before.iter().zip(sharded.shard_rects()).enumerate() {
+            let (ix, iy) = (i % nx, i / nx);
+            for (interior, was, now) in [
+                (ix > 0, a.min_x, b.min_x),
+                (ix + 1 < nx, a.max_x, b.max_x),
+                (iy > 0, a.min_y, b.min_y),
+                (iy + 1 < ny, a.max_y, b.max_y),
+            ] {
+                assert!(
+                    !interior || was.to_bits() == now.to_bits(),
+                    "apply moved an interior split line of shard {i}"
+                );
+            }
+        }
+    }
+
     /// The rectangles must tile the domain exactly (no gaps, no overlap
     /// beyond shared boundaries) — checked by area.
     fn assert_rects_tile_domain(sharded: &ShardedUvSystem) {
@@ -1449,12 +1461,13 @@ mod tests {
             ))
             .delete(11)
             .move_to(42, Point::new(7_700.0, 1_900.0));
+        let (dims, rects) = (sharded.grid_dims(), sharded.shard_rects().to_vec());
         let stats = sharded.apply(batch.clone()).unwrap();
         unsharded.apply(batch).unwrap();
         assert_eq!(stats.router.inserted, 1);
         assert_eq!(stats.router.deleted, 1);
         assert_eq!(stats.router.moved, 1);
-        assert!(!stats.resharded);
+        assert_layout_kept(&sharded, dims, &rects);
         assert!(stats.shards_touched >= 1);
         // The router has no grid: its stats never report leaf work.
         assert_eq!(stats.router.leaves_refined, 0);
@@ -1524,12 +1537,13 @@ mod tests {
             Point::new(ds.domain.max_x + 700.0, ds.domain.max_y + 700.0),
             10.0,
         );
+        let (dims, rects) = (sharded.grid_dims(), sharded.shard_rects().to_vec());
         let stats = sharded.insert_object(outside.clone()).unwrap();
         unsharded.insert_object(outside).unwrap();
-        assert!(!stats.resharded);
+        assert_layout_kept(&sharded, dims, &rects);
         assert!(stats.domain_grown);
         assert!(stats.router.domain_grown);
-        assert!(!stats.router.full_rebuild);
+        assert_eq!(stats.router.epoch, 1);
         assert_eq!(sharded.domain(), unsharded.domain());
         assert_rects_tile_domain(&sharded);
         let domain = sharded.domain();
@@ -1560,7 +1574,7 @@ mod tests {
             ))
             .unwrap();
         assert!(stats.domain_grown);
-        assert!(!stats.resharded);
+        assert_eq!(sharded.grid_dims(), (side, side));
         let after = sharded.shard_rects();
         let mut unchanged = 0usize;
         for iy in 0..side {
@@ -1583,7 +1597,7 @@ mod tests {
         // shard loses members, no shard moves anything, and no shard — not
         // even the one annexing the new corner — rebuilds.
         for (s, st) in stats.per_shard.iter().enumerate() {
-            assert!(!st.full_rebuild, "shard {s} must never rebuild");
+            assert_eq!(st.epoch, 1, "shard {s} must re-index exactly once");
             assert_eq!(st.deleted, 0, "growth must not evict replicas (shard {s})");
             assert_eq!(st.moved, 0, "growth must not move replicas (shard {s})");
         }

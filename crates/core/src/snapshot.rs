@@ -63,6 +63,7 @@ use crate::subscribe::SubscriptionTable;
 use crate::system::UvSystem;
 use crate::update::{ObjectState, RefTable};
 use crate::UvError;
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -202,17 +203,62 @@ impl Decode for Method {
     }
 }
 
+/// Persists a reference table: the entry count, then every entry's id and
+/// [`ObjectState`] in ascending id order. The one encoding of the table,
+/// shared by the REF_TABLE section and the slim router's state
+/// ([`crate::router`]).
+pub(crate) fn write_ref_table<W: Write + ?Sized>(table: &RefTable, w: &mut W) -> io::Result<()> {
+    let mut entries: Vec<(u32, &ObjectState)> = table.iter().map(|(id, s)| (*id, s)).collect();
+    entries.sort_unstable_by_key(|(id, _)| *id);
+    entries.len().write_to(w)?;
+    for (id, state) in &entries {
+        id.write_to(w)?;
+        write_object_state(state, w)?;
+    }
+    Ok(())
+}
+
+/// Inverse of [`write_ref_table`], validated against the live `objects`:
+/// every entry names a live object, no object appears twice, and the table
+/// covers the whole object set.
+pub(crate) fn read_ref_table<R: Read + ?Sized>(
+    objects: &[UncertainObject],
+    r: &mut R,
+) -> Result<RefTable, UvError> {
+    let entries = usize::read_from(r)?;
+    let centers: HashMap<u32, Point> = objects.iter().map(|o| (o.id, o.center())).collect();
+    let mut table = RefTable::with_capacity(entries.min(4_096));
+    for _ in 0..entries {
+        let id = u32::read_from(r)?;
+        // The subject centre anchors the d-bound radius recomputation, so
+        // an entry for an unknown object is unreadable corruption.
+        let Some(center) = centers.get(&id) else {
+            return Err(UvError::SnapshotCorrupt(format!(
+                "reference table names unknown object {id}"
+            )));
+        };
+        let state = read_object_state(*center, r)?;
+        if table.insert(id, state).is_some() {
+            return Err(UvError::SnapshotCorrupt(format!(
+                "object {id} appears twice in the reference table"
+            )));
+        }
+    }
+    if table.len() != objects.len() || objects.iter().any(|o| !table.contains_key(&o.id)) {
+        return Err(UvError::SnapshotCorrupt(
+            "reference table does not cover the live object set".into(),
+        ));
+    }
+    Ok(table)
+}
+
 /// Persists one [`ObjectState`]. The C-pruning d-bounds are written as their
 /// hull *vertices* only: each d-bound is the circle through the subject
 /// centre around one hull vertex of the possible region, so its radius is
 /// `vertex.dist(centre)` — derivable, and therefore not stored (format
 /// version 2; version 1 spent 8 extra bytes per vertex on it, which made
-/// snapshots grow with region complexity). Shared with the slim router's
-/// persistence ([`crate::router`]), which writes the same per-object state.
-pub(crate) fn write_object_state<W: Write + ?Sized>(
-    state: &ObjectState,
-    w: &mut W,
-) -> io::Result<()> {
+/// snapshots grow with region complexity).
+fn write_object_state<W: Write + ?Sized>(state: &ObjectState, w: &mut W) -> io::Result<()> {
     state.reference_ids.write_to(w)?;
     let s = &state.sensitivity;
     s.knn_dist.write_to(w)?;
@@ -225,10 +271,7 @@ pub(crate) fn write_object_state<W: Write + ?Sized>(
 /// Inverse of [`write_object_state`]: `center` is the subject's centre, from
 /// which the d-bound radii are recomputed exactly as the derivation computed
 /// them (`Circle::new(v, v.dist(center))`), keeping loaded ≡ saved bit-exact.
-pub(crate) fn read_object_state<R: Read + ?Sized>(
-    center: Point,
-    r: &mut R,
-) -> io::Result<ObjectState> {
+fn read_object_state<R: Read + ?Sized>(center: Point, r: &mut R) -> io::Result<ObjectState> {
     let reference_ids = Vec::read_from(r)?;
     let knn_dist = f64::read_from(r)?;
     let prune_radius = f64::read_from(r)?;
@@ -477,19 +520,8 @@ impl UvSystem {
         write_index(&self.index, &mut index_state)?;
         written += emit(w, tag::INDEX, index_state)?;
 
-        let mut ref_table: Vec<(u32, &ObjectState)> = self
-            .router
-            .ref_table
-            .iter()
-            .map(|(id, s)| (*id, s))
-            .collect();
-        ref_table.sort_unstable_by_key(|(id, _)| *id);
         let mut ref_payload = Vec::new();
-        ref_table.len().write_to(&mut ref_payload)?;
-        for (id, state) in &ref_table {
-            id.write_to(&mut ref_payload)?;
-            write_object_state(state, &mut ref_payload)?;
-        }
+        write_ref_table(&self.router.ref_table, &mut ref_payload)?;
         written += emit(w, tag::REF_TABLE, ref_payload)?;
 
         written += emit(w, tag::STATS, to_bytes(&self.construction))?;
@@ -605,34 +637,7 @@ impl UvSystem {
         )?;
 
         let ref_payload = read_section(r, tag::REF_TABLE)?;
-        let mut ref_r: &[u8] = &ref_payload;
-        let entries = usize::read_from(&mut ref_r)?;
-        let centers: std::collections::HashMap<u32, Point> =
-            objects.iter().map(|o| (o.id, o.center())).collect();
-        let mut ref_table = RefTable::with_capacity(entries.min(4_096));
-        for _ in 0..entries {
-            let id = u32::read_from(&mut ref_r)?;
-            // The subject centre anchors the d-bound radius recomputation,
-            // so an entry for an unknown object is unreadable corruption.
-            let Some(center) = centers.get(&id) else {
-                return Err(UvError::SnapshotCorrupt(format!(
-                    "reference table names unknown object {id}"
-                )));
-            };
-            let state = read_object_state(*center, &mut ref_r)?;
-            if ref_table.insert(id, state).is_some() {
-                return Err(UvError::SnapshotCorrupt(format!(
-                    "object {id} appears twice in the reference table"
-                )));
-            }
-        }
-        if ref_table.len() != objects.len()
-            || objects.iter().any(|o| !ref_table.contains_key(&o.id))
-        {
-            return Err(UvError::SnapshotCorrupt(
-                "reference table does not cover the live object set".into(),
-            ));
-        }
+        let ref_table = read_ref_table(&objects, &mut ref_payload.as_slice())?;
 
         let construction: ConstructionStats =
             uv_store::codec::from_bytes(&read_section(r, tag::STATS)?)?;

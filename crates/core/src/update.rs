@@ -52,13 +52,13 @@
 //! # No full rebuilds
 //!
 //! Two situations used to abandon incremental repair for a cold rebuild;
-//! both are now handled in place, so [`UpdateStats::full_rebuild`] is
-//! structurally unreachable under any legal op sequence (the field is kept,
-//! always `false`, for API stability — the adversarial suite in
-//! `tests/proptest_adversarial.rs` churns both paths and asserts exactly
-//! that). Arseneva et al. (*Sublinear Explicit Incremental Planar Voronoi
-//! Diagrams*) show Voronoi topology admits incremental maintenance; the two
-//! mechanisms here are our budget- and domain-aware analogues:
+//! both are now handled in place, so every applied batch advances the epoch
+//! exactly once and leaves the index bit-identical to a cold rebuild (the
+//! adversarial suite in `tests/proptest_adversarial.rs` churns both paths
+//! and asserts exactly that). Arseneva et al. (*Sublinear Explicit
+//! Incremental Planar Voronoi Diagrams*) show Voronoi topology admits
+//! incremental maintenance; the two mechanisms here are our budget- and
+//! domain-aware analogues:
 //!
 //! * **Domain growth** — an inserted or moved object extends beyond the
 //!   indexed domain `D`. The domain grows *exponentially*: it is doubled
@@ -219,11 +219,6 @@ pub struct UpdateStats {
     pub leaves_merged: usize,
     /// Leaf count of the index after the update.
     pub total_leaves: usize,
-    /// Always `false`: every trigger that used to force a cold rebuild
-    /// (domain growth, a bound memory budget) is now handled in place. The
-    /// field is retained for API stability and as the adversarial suite's
-    /// assertion target.
-    pub full_rebuild: bool,
     /// `true` when the batch extended the indexed domain in place: an
     /// inserted or moved object landed outside `D`, the domain was grown
     /// exponentially to cover it and every object was re-derived under the
@@ -255,9 +250,6 @@ impl UpdateStats {
     /// experiment's locality criterion is that this stays at or below 0.1
     /// for a 1% churn step.
     pub fn refine_fraction(&self) -> f64 {
-        if self.full_rebuild {
-            return 1.0;
-        }
         self.leaves_refined as f64 / self.total_leaves.max(1) as f64
     }
 
@@ -745,7 +737,6 @@ mod tests {
         assert_eq!(stats.inserted, 1);
         assert_eq!(stats.deleted, 1);
         assert_eq!(stats.moved, 1);
-        assert!(!stats.full_rebuild);
         assert_eq!(stats.epoch, 1);
         assert_eq!(sys.index().epoch(), 1);
         assert_eq!(sys.objects().len(), ds.objects.len());
@@ -838,7 +829,6 @@ mod tests {
             10.0,
         );
         let stats = sys.insert_object(outside).unwrap();
-        assert!(!stats.full_rebuild);
         assert!(stats.domain_grown);
         assert_eq!(stats.epoch, 1);
         assert!(sys
@@ -861,7 +851,7 @@ mod tests {
                 5.0,
             );
             let stats = sys.insert_object(o).unwrap();
-            assert!(!stats.full_rebuild);
+            assert_eq!(stats.epoch, u64::from(k));
             growths += usize::from(stats.domain_grown);
         }
         assert_eq!(growths, 1, "staircase must not grow on every step");
@@ -881,7 +871,7 @@ mod tests {
         );
         assert!(sys.index().num_nonleaf_nodes() <= 1);
         let stats = sys.move_object(0, Point::new(5_001.0, 5_002.0)).unwrap();
-        assert!(!stats.full_rebuild);
+        assert_eq!(stats.epoch, 1);
         assert!(!stats.domain_grown);
         assert_matches_cold_rebuild(&sys);
     }
@@ -922,7 +912,7 @@ mod tests {
         let total = sys.index().num_leaf_nodes();
         assert!(total > 10, "fixture must split into many leaves");
         let stats = sys.move_object(7, Point::new(5_050.0, 5_050.0)).unwrap();
-        assert!(!stats.full_rebuild);
+        assert_eq!(stats.epoch, 1);
         assert!(stats.objects_rederived >= 1);
         assert!(stats.leaves_refined >= 1);
         assert!(stats.leaves_refined < total);

@@ -9,8 +9,8 @@
 //! page layout — what must hold is that summing the breakdowns reproduces
 //! the shard stores' atomic counters). Adversarial sequences biased to
 //! provoke the retired full-rebuild triggers additionally assert that
-//! [`ShardedUpdateStats::resharded`] stays `false` forever — domain growth
-//! extends the shard geometry in place.
+//! `apply` never changes the layout — the grid dimensions stay and domain
+//! growth moves only the outer shard boundaries.
 //!
 //! Elastic resharding is covered by a churn-interleaved property: random
 //! [`ShardedUvSystem::split_shard`] / [`ShardedUvSystem::merge_shards`]
@@ -28,7 +28,7 @@ use uv_core::{
     UvConfig, UvSystem,
 };
 use uv_data::{Dataset, GeneratorConfig, QueryBreakdown, UncertainObject};
-use uv_geom::Point;
+use uv_geom::{Point, Rect};
 
 /// The dynamic-serving tuning of the update proptests (local sensitivity
 /// bounds, enough leaves for splits/merges), sharded 2×2.
@@ -180,6 +180,28 @@ fn adjacent_pair(nx: usize, ny: usize, pick: usize) -> Option<(usize, usize)> {
     } else {
         let k = k - x_pairs;
         Some((k, k + nx))
+    }
+}
+
+/// `apply` never changes the layout: the grid dimensions stay, and every
+/// split line off the domain boundary is bit-unchanged (domain growth moves
+/// only the outer boundaries), so interior rectangles are bit-unchanged.
+fn assert_layout_kept(sharded: &ShardedUvSystem, dims: (usize, usize), before: &[Rect]) {
+    assert_eq!(sharded.grid_dims(), dims, "apply changed the grid");
+    let (nx, ny) = dims;
+    for (i, (a, b)) in before.iter().zip(sharded.shard_rects()).enumerate() {
+        let (ix, iy) = (i % nx, i / nx);
+        for (interior, was, now) in [
+            (ix > 0, a.min_x, b.min_x),
+            (ix + 1 < nx, a.max_x, b.max_x),
+            (iy > 0, a.min_y, b.min_y),
+            (iy + 1 < ny, a.max_y, b.max_y),
+        ] {
+            assert!(
+                !interior || was.to_bits() == now.to_bits(),
+                "apply moved an interior split line of shard {i}"
+            );
+        }
     }
 }
 
@@ -362,12 +384,15 @@ proptest! {
                     }
                 }
             }
+            let (dims, rects) = (sharded.grid_dims(), sharded.shard_rects().to_vec());
+            let epoch = sharded.router().epoch();
             let stats = sharded.apply(batch.clone())
                 .expect("adversarial batch must validate on the sharded path");
             unsharded.apply(batch)
                 .expect("adversarial batch must validate on the unsharded path");
-            prop_assert!(!stats.resharded, "the layout must never be rebuilt");
-            prop_assert!(!stats.router.full_rebuild);
+            assert_layout_kept(&sharded, dims, &rects);
+            let effective = stats.router.inserted + stats.router.deleted + stats.router.moved > 0;
+            prop_assert_eq!(stats.router.epoch, epoch + u64::from(effective));
             growths += usize::from(stats.domain_grown);
             prop_assert_eq!(sharded.domain(), unsharded.domain());
         }

@@ -139,6 +139,7 @@ proptest! {
         // Growth step: an insert beyond the domain extends the grid in
         // place on both sides of the round-trip, the states stay equal, and
         // a post-growth system snapshots and reloads bit-identically.
+        let epoch = sys.epoch();
         let far = sys.domain().max_x + 321.0;
         let grow = UpdateBatch::new().insert(UncertainObject::with_gaussian(
             900_000,
@@ -148,7 +149,7 @@ proptest! {
         let ga = sys.apply(grow.clone()).unwrap();
         let gb = loaded.apply(grow).unwrap();
         prop_assert!(ga.domain_grown && gb.domain_grown);
-        prop_assert!(!ga.full_rebuild && !gb.full_rebuild);
+        prop_assert!(ga.epoch == epoch + 1 && gb.epoch == epoch + 1);
         prop_assert_eq!(sys.domain(), loaded.domain());
         prop_assert_eq!(canonical_leaves(&loaded), canonical_leaves(&sys));
         let bytes = snapshot_bytes(&sys);

@@ -9,18 +9,24 @@
 //! already agree with it — a wrong safe region that silently serves a stale
 //! answer fails here, not just a missed push.
 //!
+//! An unsharded engine is the one-shard layout of the sharded path: over
+//! the same objects it pushes the same deltas and counts the same stats as
+//! an engine over a 1×1 [`ShardedUvSystem`].
+//!
 //! A deterministic regression corpus pins the boundary scenarios: a
 //! migration crossing a shard boundary mid-tick, safe regions invalidated
 //! by a domain-growth batch, unsubscribe-then-resubscribe epoch coherence,
-//! and a client parked exactly on a leaf split line.
+//! a client parked exactly on a leaf split line, and refreshes handed a
+//! record of another layout.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use uv_core::{
-    Method, ShardedUvSystem, SubscriptionEngine, SubscriptionTable, UpdateBatch, UvConfig, UvSystem,
+    Method, ShardedUvSystem, SubscriptionEngine, SubscriptionTable, UpdateBatch, UvConfig, UvError,
+    UvSystem,
 };
 use uv_data::{Dataset, GeneratorConfig, UncertainObject};
-use uv_geom::Point;
+use uv_geom::{Point, Rect};
 
 /// The dynamic-serving tuning of the update proptests; sharded cases add a
 /// 2×2 grid on top.
@@ -113,6 +119,31 @@ fn assert_stream_matches_oracle(system: &System<'_>, table: &SubscriptionTable, 
     }
 }
 
+/// One tick's reports from raw steps: at most one per client, a small step
+/// or a jump from its replayed position, clamped to `domain`. The replay
+/// takes the new positions.
+fn tick_moves(replay: &mut Replay, tick_steps: &[RawStep], domain: Rect) -> Vec<(u64, Point)> {
+    let ids: Vec<u64> = replay.keys().copied().collect();
+    let mut moves: Vec<(u64, Point)> = Vec::new();
+    for (pick, dx, dy, jump) in tick_steps {
+        let id = ids[*pick as usize % ids.len()];
+        if moves.iter().any(|(m, _)| *m == id) {
+            continue;
+        }
+        let scale = if jump % 4 == 0 { 2_500.0 } else { 18.0 };
+        let (p, _) = replay[&id];
+        let np = Point::new(
+            (p.x + (dx - 0.5) * scale).clamp(domain.min_x, domain.max_x),
+            (p.y + (dy - 0.5) * scale).clamp(domain.min_y, domain.max_y),
+        );
+        moves.push((id, np));
+    }
+    for (id, np) in &moves {
+        replay.get_mut(id).expect("known client").0 = *np;
+    }
+    moves
+}
+
 /// Runs one engine session over `steps` ticks, updating `replay` from the
 /// pushed deltas, and returns the table for the next update batch.
 fn run_ticks(
@@ -120,28 +151,11 @@ fn run_ticks(
     table: SubscriptionTable,
     replay: &mut Replay,
     steps: &[Vec<RawStep>],
-    domain: uv_geom::Rect,
+    domain: Rect,
 ) -> SubscriptionTable {
     let mut engine = system.engine(table);
-    let ids: Vec<u64> = replay.keys().copied().collect();
     for tick_steps in steps {
-        let mut moves: Vec<(u64, Point)> = Vec::new();
-        for (pick, dx, dy, jump) in tick_steps {
-            let id = ids[*pick as usize % ids.len()];
-            if moves.iter().any(|(m, _)| *m == id) {
-                continue;
-            }
-            let scale = if jump % 4 == 0 { 2_500.0 } else { 18.0 };
-            let (p, _) = replay[&id];
-            let np = Point::new(
-                (p.x + (dx - 0.5) * scale).clamp(domain.min_x, domain.max_x),
-                (p.y + (dy - 0.5) * scale).clamp(domain.min_y, domain.max_y),
-            );
-            moves.push((id, np));
-        }
-        for (id, np) in &moves {
-            replay.get_mut(id).expect("known client").0 = *np;
-        }
+        let moves = tick_moves(replay, tick_steps, domain);
         for (id, delta) in engine.tick(&moves) {
             replay_delta(replay, id, &delta);
         }
@@ -298,6 +312,84 @@ proptest! {
                 table = run_refresh(&system, table, &mut replay, |e| {
                     e.refresh_after_sharded(&stats)
                 });
+            }
+        }
+    }
+
+    /// An unsharded engine is the one-shard layout of the sharded path:
+    /// over the same objects, an engine on a [`UvSystem`] and one on a 1×1
+    /// [`ShardedUvSystem`] push identical deltas and count identical
+    /// [`uv_core::SubscriptionStats`] through ticks, update batches and a
+    /// domain growth, and the pushed stream matches per-tick re-answering.
+    #[test]
+    fn unsharded_engine_matches_the_one_shard_layout(
+        case in (60..100usize, 0..2u8, 0..2u8, 900.0..2_500.0f64, 0..10_000u64),
+        walks in prop::collection::vec(
+            prop::collection::vec((0..u16::MAX, 0.0..1.0f64, 0.0..1.0f64, 0..8u8), 4..10),
+            4..8,
+        ),
+        raw_ops in prop::collection::vec(
+            (0..6u8, 0..u16::MAX, 1_000.0..9_000.0f64, 1_000.0..9_000.0f64),
+            8..14,
+        ),
+    ) {
+        let (n, method_pick, kind_pick, sigma, seed) = case;
+        let ds = generate(n, kind_pick, sigma, seed);
+        let method = method(method_pick);
+        let mut single =
+            UvSystem::build(ds.objects.clone(), ds.domain, method, test_config(1)).unwrap();
+        let mut one_shard =
+            ShardedUvSystem::build(ds.objects.clone(), ds.domain, method, test_config(1)).unwrap();
+        prop_assert_eq!(one_shard.shard_count(), 1);
+        let positions = ds.query_points(10, seed ^ 0x5afe);
+        let (mut table_u, mut replay) = seed_fleet(&System::Single(&single), &positions);
+        let (mut table_s, replay_s) = seed_fleet(&System::Sharded(&one_shard), &positions);
+        prop_assert_eq!(&replay, &replay_s);
+        let mut live: Vec<u32> = single.objects().iter().map(|o| o.id).collect();
+        let mut next_id = 10_000;
+        let phases = walks.len().div_ceil(2);
+        for (i, chunk) in walks.chunks(2).enumerate() {
+            {
+                let (su, ss) = (System::Single(&single), System::Sharded(&one_shard));
+                let (mut eu, mut es) = (su.engine(table_u), ss.engine(table_s));
+                for tick_steps in chunk {
+                    let moves = tick_moves(&mut replay, tick_steps, ds.domain);
+                    let pushed = eu.tick(&moves);
+                    prop_assert_eq!(&pushed, &es.tick(&moves));
+                    prop_assert_eq!(eu.stats(), es.stats());
+                    for (id, delta) in &pushed {
+                        replay_delta(&mut replay, *id, delta);
+                    }
+                    assert_stream_matches_oracle(&su, eu.table(), &replay);
+                }
+                (table_u, table_s) = (eu.into_table(), es.into_table());
+            }
+            if i + 1 < phases {
+                let ops = &raw_ops[i * 4 % raw_ops.len()..];
+                let mut batch = translate_batch(&mut live, &ops[..ops.len().min(5)], &mut next_id);
+                if i + 2 == phases {
+                    // The last batch also grows the domain in place.
+                    batch = batch.insert(UncertainObject::with_gaussian(
+                        next_id,
+                        Point::new(ds.domain.max_x + 700.0, ds.domain.max_y + 700.0),
+                        20.0,
+                    ));
+                    next_id += 1;
+                }
+                let stats_u = single.apply(batch.clone()).expect("collision-free batch");
+                let stats_s = one_shard.apply(batch).expect("collision-free batch");
+                prop_assert_eq!(stats_u.domain_grown, i + 2 == phases);
+                prop_assert_eq!(stats_s.domain_grown, i + 2 == phases);
+                let (su, ss) = (System::Single(&single), System::Sharded(&one_shard));
+                let (mut eu, mut es) = (su.engine(table_u), ss.engine(table_s));
+                let pushed = eu.refresh_after(&stats_u);
+                prop_assert_eq!(&pushed, &es.refresh_after_sharded(&stats_s));
+                prop_assert_eq!(eu.stats(), es.stats());
+                for (id, delta) in &pushed {
+                    replay_delta(&mut replay, *id, delta);
+                }
+                assert_stream_matches_oracle(&su, eu.table(), &replay);
+                (table_u, table_s) = (eu.into_table(), es.into_table());
             }
         }
     }
@@ -495,4 +587,90 @@ fn client_parked_exactly_on_a_leaf_split_line() {
         }
         assert_stream_matches_oracle(&system, engine.table(), &replay);
     }
+}
+
+/// A non-finite position is rejected at the boundary: `subscribe` returns a
+/// typed error and `tick` skips the report uncounted, so the table holds
+/// only finite positions and the snapshot it saves loads back.
+#[test]
+fn non_finite_positions_are_rejected_and_the_table_round_trips() {
+    let ds = Dataset::generate(GeneratorConfig::paper_uniform(150));
+    let sys = UvSystem::with_defaults(ds.objects.clone(), ds.domain);
+    let mut engine = SubscriptionEngine::new(&sys);
+    let bad = [
+        Point::new(f64::NAN, 5.0),
+        Point::new(f64::INFINITY, 1.0),
+        Point::new(1.0, f64::NEG_INFINITY),
+    ];
+    for p in bad {
+        assert_eq!(engine.subscribe(1, p).unwrap_err(), UvError::InvalidPoint);
+    }
+    assert!(engine.table().is_empty());
+    let q = ds.query_points(2, 5);
+    engine.subscribe(2, q[0]).unwrap();
+    engine.subscribe(3, q[1]).unwrap();
+    let before = engine.stats();
+
+    // Unique ids (the concurrent path) and a repeated id (the sequential
+    // path): every non-finite report is skipped and counts nothing.
+    let moved = Point::new(q[1].x + 1e-7, q[1].y);
+    assert!(engine.tick(&[(2, bad[1]), (3, moved)]).is_empty());
+    assert!(engine.tick(&[(2, bad[0]), (2, bad[2])]).is_empty());
+    assert_eq!(engine.stats().ticks, before.ticks + 1);
+    assert_eq!(engine.table().client(2).unwrap().position(), q[0]);
+    assert_eq!(engine.table().client(3).unwrap().position(), moved);
+
+    let mut bytes = Vec::new();
+    sys.save_snapshot_with_subscriptions(&mut bytes, engine.table())
+        .unwrap();
+    let (_, restored) = UvSystem::load_snapshot_with_subscriptions(&mut bytes.as_slice()).unwrap();
+    assert_eq!(restored.len(), 2);
+    assert!(restored.iter().all(|(_, c)| c.position().is_finite()));
+}
+
+/// A refresh handed a record of another layout cannot vouch for any client,
+/// so every client re-derives and the pushed deltas still replay onto the
+/// oracle: an unsharded apply's stats on a sharded engine, and a sharded
+/// apply's or a reshard's stats on an unsharded one.
+#[test]
+fn refresh_with_a_record_of_another_layout_rederives_every_client() {
+    let ds = Dataset::generate(GeneratorConfig::paper_uniform(150).with_seed(17));
+    let mut single =
+        UvSystem::build(ds.objects.clone(), ds.domain, Method::IC, test_config(2)).unwrap();
+    let mut sharded =
+        ShardedUvSystem::build(ds.objects.clone(), ds.domain, Method::IC, test_config(2)).unwrap();
+    let positions = ds.query_points(10, 41);
+    let clients = positions.len() as u64;
+    let (table_u, mut replay_u) = seed_fleet(&System::Single(&single), &positions);
+    let (table_s, mut replay_s) = seed_fleet(&System::Sharded(&sharded), &positions);
+
+    // Deleting the first client's two best answers changes its answer set.
+    let mut batch = UpdateBatch::new();
+    for id in single.pnn(positions[0]).answer_ids().iter().take(2) {
+        batch = batch.delete(*id);
+    }
+    let stats_u = single.apply(batch.clone()).expect("delete batch");
+    let stats_s = sharded.apply(batch).expect("delete batch");
+
+    run_refresh(&System::Sharded(&sharded), table_s, &mut replay_s, |e| {
+        let pushed = e.refresh_after(&stats_u);
+        assert_eq!(e.stats().invalidated, clients);
+        assert!(!pushed.is_empty());
+        pushed
+    });
+    let table_u = run_refresh(&System::Single(&single), table_u, &mut replay_u, |e| {
+        let pushed = e.refresh_after_sharded(&stats_s);
+        assert_eq!(e.stats().invalidated, clients);
+        assert!(!pushed.is_empty());
+        pushed
+    });
+
+    // The unsharded system did not change, so re-deriving pushes nothing.
+    let reshard = sharded.split_shard(0).expect("2×2 splits");
+    run_refresh(&System::Single(&single), table_u, &mut replay_u, |e| {
+        let pushed = e.refresh_after_reshard(&reshard);
+        assert_eq!(e.stats().invalidated, clients);
+        assert!(pushed.is_empty());
+        pushed
+    });
 }

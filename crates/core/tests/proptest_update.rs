@@ -176,7 +176,7 @@ proptest! {
 
         let del = sys.delete_object(victim.id).unwrap();
         prop_assert_eq!(del.deleted, 1);
-        prop_assert!(sys.cell_area(victim.id) == 0.0 || del.full_rebuild);
+        prop_assert!(sys.cell_area(victim.id) == 0.0);
         let ins = sys.insert_object(victim.clone()).unwrap();
         prop_assert_eq!(ins.inserted, 1);
 

@@ -271,7 +271,7 @@ fn main() {
         let invalidated = subs.stats().invalidated;
         table = Some(subs.into_table());
         println!(
-            "  tick {tick}: epoch {} | {}i/{}d/{}m -> {} of {} leaves refined ({:.1}%), {} re-derived{} | {} of {} subscriptions revalidated, {} deltas pushed | probe best site: {}",
+            "  tick {tick}: epoch {} | {}i/{}d/{}m -> {} of {} leaves refined ({:.1}%), {} re-derived | {} of {} subscriptions revalidated, {} deltas pushed | probe best site: {}",
             stats.epoch,
             stats.inserted,
             stats.deleted,
@@ -280,7 +280,6 @@ fn main() {
             stats.total_leaves,
             stats.refine_fraction() * 100.0,
             stats.objects_rederived,
-            if stats.full_rebuild { " (full rebuild)" } else { "" },
             invalidated,
             vehicles,
             refreshed.len(),
