@@ -57,7 +57,8 @@ pub struct ChurnSummary {
     /// runs, where every step pushes past the current boundary).
     pub growth_events: usize,
     /// `true` when the final state was verified bit-identical to the cold
-    /// rebuild (leaf structure and PNN answers).
+    /// rebuild (leaf structure and PNN answers) and its snapshot is at most
+    /// 1.25× the rebuild's: the churned stores hold live bytes only.
     pub verified: bool,
 }
 
@@ -235,7 +236,8 @@ fn churn_trial(scale: &ExperimentScale, steps: usize, grow: bool) -> (Vec<ChurnR
 
     // Oracle: a cold rebuild of the final object set must be bit-identical —
     // the full canonical leaf structure (regions and member lists), exactly
-    // as the property tests compare it, plus sampled PNN answers.
+    // as the property tests compare it, plus sampled PNN answers — and the
+    // churned system must snapshot to at most 1.25× the rebuild's bytes.
     let t = Instant::now();
     let rebuilt =
         UvSystem::build(sys.objects().to_vec(), sys.domain(), Method::IC, config).unwrap();
@@ -247,6 +249,11 @@ fn churn_trial(scale: &ExperimentScale, steps: usize, grow: bool) -> (Vec<ChurnR
         verified &=
             a.probabilities == b.probabilities && a.candidates_examined == b.candidates_examined;
     }
+    let snapshot_len = |s: &UvSystem| {
+        s.save_snapshot(&mut std::io::sink())
+            .expect("a snapshot to a sink cannot fail")
+    };
+    verified &= snapshot_len(&sys) * 4 <= snapshot_len(&rebuilt) * 5;
 
     let ops_per_step = (n / 100).max(3);
     let avg_refine_fraction =

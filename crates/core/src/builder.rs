@@ -461,10 +461,13 @@ pub(crate) fn grow_node(
             for (k, quadrant) in quadrants.iter().enumerate() {
                 children[k] = index.alloc_node(GridNode::Free, *quadrant);
             }
-            index.nodes[node] = GridNode::Internal {
-                children,
-                object_ids: members,
-            };
+            index.set_node(
+                node,
+                GridNode::Internal {
+                    children,
+                    object_ids: members,
+                },
+            );
             for (k, part) in parts.into_iter().enumerate() {
                 grow_node(index, children[k] as usize, part, ctx, stats, budget);
             }
@@ -567,7 +570,8 @@ pub(crate) fn reconcile_budget(
 }
 
 /// Writes slot `node` as a leaf: one `<ID, MBC, pointer>` entry per member,
-/// packed into a sealed page list.
+/// packed into a sealed page list. The old leaf's pages are freed first, so
+/// the new list reuses them.
 pub(crate) fn make_leaf(
     index: &mut UvIndex,
     node: usize,
@@ -575,6 +579,7 @@ pub(crate) fn make_leaf(
     ctx: &GridCtx<'_>,
     stats: &mut GrowStats,
 ) {
+    index.set_node(node, GridNode::Free);
     let mut list = PagedList::new(Arc::clone(&index.store));
     for id in &members {
         list.push(ctx.entries[id]);

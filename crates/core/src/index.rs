@@ -131,9 +131,19 @@ impl UvIndex {
         }
     }
 
+    /// Replaces slot `node` with `with`, freeing the page list of the leaf
+    /// it held, if any. Every write that can drop a leaf goes through here —
+    /// a leaf rewrite, a split and a collapse — so a dropped leaf's pages
+    /// return to the store before the next list is written.
+    pub(crate) fn set_node(&mut self, node: usize, with: GridNode) {
+        if let GridNode::Leaf { list, .. } = std::mem::replace(&mut self.nodes[node], with) {
+            list.free();
+        }
+    }
+
     /// Frees the descendants of `node` (not `node` itself), returning their
-    /// slots to the free list and decrementing the non-leaf count for every
-    /// freed internal node.
+    /// slots to the free list and their leaf pages to the store, and
+    /// decrementing the non-leaf count for every freed internal node.
     pub(crate) fn free_children(&mut self, node: usize) {
         let GridNode::Internal { children, .. } = &self.nodes[node] else {
             return;
@@ -144,8 +154,16 @@ impl UvIndex {
             if matches!(self.nodes[child as usize], GridNode::Internal { .. }) {
                 self.nonleaf_count -= 1;
             }
-            self.nodes[child as usize] = GridNode::Free;
+            self.set_node(child as usize, GridNode::Free);
             self.free_slots.push(child);
+        }
+    }
+
+    /// Frees the page list of every leaf, ahead of a rebuild of the whole
+    /// grid into the same store. The grid is unusable until replaced.
+    pub(crate) fn free_leaves(&mut self) {
+        for node in 0..self.nodes.len() {
+            self.set_node(node, GridNode::Free);
         }
     }
 

@@ -9,7 +9,8 @@
 //! * an R-tree over the objects for the k-NN and range probes of
 //!   Algorithm 2 (`derive_subset` never dereferences an entry pointer, so a
 //!   standalone router packs an *index-only* tree,
-//!   [`uv_rtree::RTree::build_index_only`], with zero page payload);
+//!   [`uv_rtree::RTree::build_index_only`], with null record pointers; a
+//!   shard's router never derives and holds an empty one);
 //! * the per-object reference-set / sensitivity table
 //!   ([`crate::update::ObjectState`]) — the affected-object oracle;
 //! * configuration, construction method and the epoch counter.
@@ -27,8 +28,9 @@
 //!    on error);
 //! 2. compute the net difference;
 //! 3. apply it to the object vector;
-//! 4. re-index (the caller's object store and R-tree — a standalone router
-//!    repacks its index-only tree);
+//! 4. re-index: free the old R-tree's leaf pages, then repack into the same
+//!    store (the caller's object store and record-pointer R-tree — a
+//!    standalone router repacks its index-only tree);
 //! 5. grow the domain in place when the difference left it, re-deriving
 //!    every object (the derivation is domain-seeded);
 //! 6. expand the affected set through the sensitivity bounds;
@@ -57,7 +59,11 @@
 //! it bit-identically with
 //! [`uv_rtree::RTree::build_index_only`]. That makes the sharded
 //! container's ROUTER section a small multiple of the raw object data —
-//! the measured memory win `experiments -- shard` gates on.
+//! the measured memory win `experiments -- shard` gates on. It is also the
+//! sharded snapshot's one lossless copy of the objects, their states, the
+//! configuration and the domain: since format v7 a shard section holds
+//! only its member ids, pages and grid, and a loaded shard takes the rest
+//! from the loaded router ([`crate::shard`]).
 
 use crate::builder::{derive_subset, Method};
 use crate::config::UvConfig;
@@ -173,15 +179,8 @@ impl NetDiff<'_> {
     }
 
     /// Applies the difference to `store` — deletes, then changes, then
-    /// inserts, each in id order, since the order fixes the page layout —
-    /// and packs a record-pointer R-tree over `objects` (the updated set)
-    /// into `pages`.
-    pub(crate) fn reindex(
-        &self,
-        store: &mut ObjectStore,
-        objects: &[UncertainObject],
-        pages: Arc<PageStore>,
-    ) -> RTree {
+    /// inserts, each in id order, since the order fixes the page layout.
+    pub(crate) fn apply_to_store(&self, store: &mut ObjectStore) {
         for id in self.deleted {
             store.remove(*id);
         }
@@ -191,7 +190,6 @@ impl NetDiff<'_> {
         for o in &self.inserted {
             store.insert(o);
         }
-        RTree::build(objects, store, pages)
     }
 }
 
@@ -243,6 +241,26 @@ pub struct DerivationRouter {
 }
 
 impl DerivationRouter {
+    /// A shard's router over `members`: `global`'s states for them, its
+    /// domain, configuration and method, and an empty R-tree — a shard
+    /// never derives, so it never probes one.
+    pub(crate) fn replica(members: Vec<UncertainObject>, global: &DerivationRouter) -> Self {
+        let ref_table = members
+            .iter()
+            .map(|o| (o.id, global.ref_table[&o.id].clone()))
+            .collect();
+        Self {
+            objects: members,
+            domain: global.domain,
+            rtree: RTree::build_index_only(&[], Arc::new(PageStore::new())),
+            ref_table,
+            config: global.config,
+            method: global.method,
+            epoch: 0,
+            derivations: 0,
+        }
+    }
+
     /// Builds a standalone router over `objects`: validates the
     /// configuration, packs an index-only R-tree and derives every object's
     /// reference set and sensitivity.
@@ -331,21 +349,22 @@ impl DerivationRouter {
 
     /// [`DerivationRouter::apply`], returning the full change record.
     pub(crate) fn apply_change(&mut self, batch: UpdateBatch) -> Result<Change, UvError> {
-        self.apply_with(batch, |objects, _| {
-            RTree::build_index_only(objects, Arc::new(PageStore::new()))
+        self.apply_with(batch, |objects, _, pages| {
+            RTree::build_index_only(objects, pages)
         })
     }
 
     /// [`DerivationRouter::apply`] with a caller-supplied re-indexing step
-    /// (step 4): `reindex` receives the updated object set and the net
-    /// difference and returns the R-tree the derivation probes. The unsharded
-    /// system updates its object store there and packs record pointers; the
-    /// k-NN and range probes are identical on every packing of the same
-    /// object set.
+    /// (step 4): `reindex` receives the updated object set, the net
+    /// difference and the R-tree's page store, its old leaf pages already
+    /// freed, and returns the R-tree the derivation probes, packed into that
+    /// store. The unsharded system updates its object store there and packs
+    /// record pointers; the k-NN and range probes are identical on every
+    /// packing of the same object set.
     pub(crate) fn apply_with(
         &mut self,
         batch: UpdateBatch,
-        reindex: impl FnOnce(&[UncertainObject], &NetDiff<'_>) -> RTree,
+        reindex: impl FnOnce(&[UncertainObject], &NetDiff<'_>, Arc<PageStore>) -> RTree,
     ) -> Result<Change, UvError> {
         let mut stats = UpdateStats {
             epoch: self.epoch,
@@ -457,8 +476,11 @@ impl DerivationRouter {
         // The STR packing is rebuilt from the updated object set every
         // batch — deterministic and cheap (no UV geometry), and it
         // guarantees re-derived objects see exactly the tree a cold build
-        // would query.
-        self.rtree = reindex(&self.objects, &diff);
+        // would query. The old packing's leaf pages are freed first, so the
+        // new one reuses them in the same store.
+        self.rtree.clear();
+        let pages = Arc::clone(self.rtree.store());
+        self.rtree = reindex(&self.objects, &diff, pages);
         drop(diff);
 
         // ---- 5. In-place domain growth -----------------------------------

@@ -52,7 +52,10 @@
 //! [`ShardedUvSystem`] keeps one [`DerivationRouter`] over the whole
 //! dataset — the live object set, an index-only R-tree and the per-object
 //! sensitivity table, with no UV-grid and no pages — and it is the only
-//! thing that derives. Its sensitivity bounds yield the halo radii, and
+//! thing that derives, so it is the only thing that holds an R-tree: a
+//! shard's [`UvSystem::rtree`] is empty, and the R-tree baseline of
+//! Figure 6 ([`UvSystem::pnn_rtree`]) runs on an unsharded system. Its
+//! sensitivity bounds yield the halo radii, and
 //! [`DerivationRouter::apply`] is the validated, atomic global state
 //! transition (steps 1–8 of the update pipeline). Shards never derive:
 //! build, in-place domain growth and reshard rebuilds index each shard's
@@ -104,11 +107,14 @@
 //! cannot be recomputed from the domain) followed by framed
 //! `uv_store::codec` sections: the router's slim state (config, method,
 //! domain, epoch, objects and reference table; the R-tree is rebuilt on
-//! load from the object set), then one section per shard, each a complete
-//! [`UvSystem`] snapshot whose reference table holds the router's states
-//! for its members. Loading validates every section checksum, the grid
-//! geometry, configuration agreement, halo coverage and that every shard
-//! state equals the router's — malformed input maps to typed [`UvError`]s,
+//! load from the object set), then one section per shard holding only what
+//! is the shard's own — its member ids in order, its object pages and
+//! directory, its grid pages and grid state, and its construction
+//! statistics. Objects, reference states, configuration and domain are
+//! stored once, in the ROUTER section, and a loaded shard takes them from
+//! the loaded router. Loading validates every section checksum, the grid
+//! geometry and halo coverage (every member live in the router, every live
+//! object in some shard) — malformed input maps to typed [`UvError`]s,
 //! never a panic — and derives nothing.
 
 use crate::builder::{mbcs_of, Method};
@@ -123,7 +129,6 @@ use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use uv_data::{ObjectId, PnnAnswer, UncertainObject};
 use uv_geom::{Circle, Point, Rect};
 use uv_store::codec::{read_section, write_section, Decode, Encode};
@@ -462,10 +467,10 @@ fn shard_deltas<'r>(
     (deltas, live)
 }
 
-/// Applies one shard's share of a routed batch: replica set, object store,
-/// R-tree and router states first, then the grid — a localized repair, or a
-/// full grid-only re-index when the router grew the domain (`regrown`).
-/// Nothing here derives.
+/// Applies one shard's share of a routed batch: replica set, object store
+/// and router states first, then the grid — a localized repair, or a full
+/// grid-only re-index when the router grew the domain (`regrown`). Nothing
+/// here derives, so nothing here packs an R-tree.
 fn reconcile_shard(
     shard: &mut UvSystem,
     delta: ShardDelta,
@@ -491,8 +496,7 @@ fn reconcile_shard(
     };
     if !replicas.is_empty() {
         replicas.apply_to(&mut table.objects);
-        let pages = Arc::clone(table.rtree.store());
-        table.rtree = replicas.reindex(&mut shard.object_store, &table.objects, pages);
+        replicas.apply_to_store(&mut shard.object_store);
     }
     for id in &delta.removed {
         table.ref_table.remove(id);
@@ -572,7 +576,10 @@ impl ShardedUvSystem {
         &self.rects
     }
 
-    /// The serving system of shard `idx`.
+    /// The serving system of shard `idx`. A shard never derives, so it
+    /// holds no R-tree: its [`UvSystem::rtree`] is empty and its
+    /// [`UvSystem::pnn_rtree`] gives the empty answer — run the Figure 6
+    /// baseline on an unsharded [`UvSystem`].
     pub fn shard(&self, idx: usize) -> &UvSystem {
         &self.shards[idx]
     }
@@ -1120,7 +1127,7 @@ impl ShardedUvSystem {
 
         for shard in &self.shards {
             let mut payload = Vec::new();
-            shard.save_snapshot(&mut payload)?;
+            shard.write_shard_state(&mut payload)?;
             write_section(w, tag::SHARD, &payload)?;
             written += SECTION_OVERHEAD + payload.len() as u64;
         }
@@ -1138,9 +1145,10 @@ impl ShardedUvSystem {
 
     /// Loads a sharded snapshot written by
     /// [`ShardedUvSystem::save_snapshot`]: every section checksum, the grid
-    /// geometry, configuration agreement between router and shards, and
-    /// halo coverage are validated; malformed input is a typed [`UvError`],
-    /// never a panic. Load tallies start at zero.
+    /// geometry and halo coverage are validated, and every shard takes its
+    /// members' objects and states, the configuration and the domain from
+    /// the loaded router; malformed input is a typed [`UvError`], never a
+    /// panic. Load tallies start at zero.
     pub fn load_snapshot<R: Read>(r: &mut R) -> Result<Self, UvError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -1207,20 +1215,23 @@ impl ShardedUvSystem {
             ));
         }
 
+        // Halo coverage: every shard member must be live in the router
+        // (checked as each section is read), and every live object must be
+        // replicated somewhere.
+        let live: HashMap<ObjectId, &UncertainObject> =
+            router.objects().iter().map(|o| (o.id, o)).collect();
+        let mut covered: HashSet<ObjectId> = HashSet::with_capacity(live.len());
         let mut shards = Vec::with_capacity(nx * ny);
         for _ in 0..nx * ny {
             let payload = read_section(r, tag::SHARD)?;
-            let shard = UvSystem::load_snapshot(&mut payload.as_slice())?;
-            if shard.config() != router.config() {
+            let mut payload = payload.as_slice();
+            let shard = UvSystem::read_shard_state(&router, &live, &mut payload)?;
+            if !payload.is_empty() {
                 return Err(UvError::SnapshotCorrupt(
-                    "a shard was persisted under a different configuration than the router".into(),
+                    "trailing bytes after a shard's state".into(),
                 ));
             }
-            if shard.domain() != router.domain() {
-                return Err(UvError::SnapshotCorrupt(
-                    "a shard indexes a different domain than the router".into(),
-                ));
-            }
+            covered.extend(shard.objects().iter().map(|o| o.id));
             shards.push(shard);
         }
         let mut probe = [0u8; 1];
@@ -1228,29 +1239,6 @@ impl ShardedUvSystem {
             return Err(UvError::SnapshotCorrupt(
                 "trailing bytes after the final shard section".into(),
             ));
-        }
-
-        // Halo coverage: every shard member must be live globally and carry
-        // the router's state (shards index from the router's table), and
-        // every live object must be replicated somewhere.
-        let live: HashSet<ObjectId> = router.objects().iter().map(|o| o.id).collect();
-        let mut covered: HashSet<ObjectId> = HashSet::with_capacity(live.len());
-        for shard in &shards {
-            for o in shard.objects() {
-                if !live.contains(&o.id) {
-                    return Err(UvError::SnapshotCorrupt(format!(
-                        "shard replica {} is not live in the router",
-                        o.id
-                    )));
-                }
-                if shard.object_state(o.id) != router.object_state(o.id) {
-                    return Err(UvError::SnapshotCorrupt(format!(
-                        "shard replica {} carries a state other than the router's",
-                        o.id
-                    )));
-                }
-                covered.insert(o.id);
-            }
         }
         if covered.len() != live.len() {
             return Err(UvError::SnapshotCorrupt(
@@ -1876,15 +1864,19 @@ mod tests {
             Err(UvError::SnapshotCorrupt(_))
         ));
 
-        let mut bad = bytes.clone();
-        bad[8..12].copy_from_slice(&77u32.to_le_bytes());
-        assert_eq!(
-            ShardedUvSystem::load_snapshot(&mut bad.as_slice()).unwrap_err(),
-            UvError::SnapshotVersionMismatch {
-                found: 77,
-                supported: FORMAT_VERSION,
-            }
-        );
+        // Unsupported versions, among them 6, whose shard sections are
+        // whole system snapshots repeating the router's objects and states.
+        for found in [6, 77u32] {
+            let mut bad = bytes.clone();
+            bad[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                ShardedUvSystem::load_snapshot(&mut bad.as_slice()).unwrap_err(),
+                UvError::SnapshotVersionMismatch {
+                    found,
+                    supported: FORMAT_VERSION,
+                }
+            );
+        }
 
         for cut in [5, 20, bytes.len() / 3, bytes.len() - 1] {
             let err = ShardedUvSystem::load_snapshot(&mut &bytes[..cut]).unwrap_err();

@@ -8,10 +8,12 @@
 //! away — warm restarts, replicas and crash recovery all want the derived
 //! state on disk. This module persists it:
 //!
-//! * the [`uv_data::ObjectStore`] pages, directory and tombstones;
-//! * the packed [`uv_rtree::RTree`];
+//! * the [`uv_data::ObjectStore`] pages and directory;
+//! * the packed [`uv_rtree::RTree`] and its leaf pages;
 //! * the [`UvIndex`] grid — nodes, member lists, epoch, free slots and the
 //!   budget flag, plus its leaf page store;
+//! * every page store's free set, so a loaded store reuses freed pages in
+//!   the order the saved one would have;
 //! * the per-object [`crate::update::ObjectState`] (reference ids and
 //!   [`crate::UpdateSensitivity`]) that dynamic maintenance needs — the
 //!   C-pruning d-bounds as bare hull vertices, their radii recomputed
@@ -37,6 +39,11 @@
 //!   6 RTREE_PAGES  7 RTREE  8 INDEX_PAGES  9 INDEX  10 REF_TABLE  11 STATS
 //!   12 SUBSCRIPTIONS
 //! ```
+//!
+//! A page store persists as its page size, every page id's bytes in order
+//! (a free page is empty) and then its free set. A page list, R-tree leaf
+//! or object directory that names a free page, and a free set that names an
+//! out-of-range or non-empty page, are corruption.
 //!
 //! Every malformation maps to a typed [`UvError`], never a panic: a wrong
 //! magic, flipped byte, truncated stream or invariant-violating payload is
@@ -72,7 +79,7 @@ use uv_data::{ObjectStore, UncertainObject};
 use uv_geom::{Circle, Point, Rect};
 use uv_rtree::RTree;
 use uv_store::codec::{corrupt, fnv64, read_section, to_bytes, write_section, Decode, Encode};
-use uv_store::{PageStore, PagedList};
+use uv_store::{ensure_disjoint, PageStore, PagedList};
 
 /// Magic bytes every snapshot starts with.
 pub const MAGIC: [u8; 8] = *b"UVDSNAP\0";
@@ -116,7 +123,17 @@ pub const MAGIC: [u8; 8] = *b"UVDSNAP\0";
 ///   sharded snapshot, whose shards hold states derived against their halo
 ///   subsets, is rejected rather than mixed with router-derived states. The
 ///   stream layout is unchanged.
-pub const FORMAT_VERSION: u32 = 6;
+/// * **7** — live bytes only. Every page store ends with its free set (the
+///   ids freed for reuse, whose pages are empty), and the OBJECT_STORE
+///   section is the id → page directory alone: object pages hold live
+///   records only, and the pages with room follow from the directory. A
+///   sharded snapshot's shard section is no longer a full [`UvSystem`]
+///   snapshot: it holds the shard's member ids, object pages and directory,
+///   grid pages and grid state, and construction statistics, while
+///   objects, reference states, configuration and domain come from the
+///   ROUTER section alone. Shards hold no R-tree. A v6 snapshot is
+///   rejected.
+pub const FORMAT_VERSION: u32 = 7;
 
 mod tag {
     pub const CONFIG: u8 = 1;
@@ -433,6 +450,10 @@ fn read_index<R: Read + ?Sized>(
     if matches!(nodes[0], GridNode::Free) {
         return Err(corrupt("the root node is free"));
     }
+    ensure_disjoint(nodes.iter().filter_map(|node| match node {
+        GridNode::Leaf { list, .. } => Some(list),
+        _ => None,
+    }))?;
     let nonleaf_count = nodes
         .iter()
         .filter(|n| matches!(n, GridNode::Internal { .. }))
@@ -715,6 +736,55 @@ impl UvSystem {
         ))
     }
 
+    /// Writes this shard's section of a sharded snapshot: its member ids in
+    /// order, its object pages and directory, its grid pages and grid state,
+    /// and its construction statistics. Objects, reference states,
+    /// configuration and domain are the router's, persisted once in the
+    /// ROUTER section ([`crate::shard`]).
+    pub(crate) fn write_shard_state<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+        let ids: Vec<u32> = self.router.objects.iter().map(|o| o.id).collect();
+        ids.write_to(w)?;
+        self.object_store.store().write_to(w)?;
+        self.object_store.write_state(w)?;
+        self.index.store().write_to(w)?;
+        write_index(&self.index, w)?;
+        self.construction.write_to(w)
+    }
+
+    /// Inverse of [`UvSystem::write_shard_state`]: the shard's members and
+    /// their states come from the loaded `router`, `live` maps its objects
+    /// by id, and a member that is not live there is corruption. Derives
+    /// nothing.
+    pub(crate) fn read_shard_state<R: Read + ?Sized>(
+        router: &DerivationRouter,
+        live: &HashMap<u32, &UncertainObject>,
+        r: &mut R,
+    ) -> Result<UvSystem, UvError> {
+        let ids: Vec<u32> = Vec::read_from(r)?;
+        let mut members = Vec::with_capacity(ids.len());
+        for id in ids {
+            let Some(o) = live.get(&id) else {
+                return Err(UvError::SnapshotCorrupt(format!(
+                    "shard replica {id} is not live in the router"
+                )));
+            };
+            members.push((*o).clone());
+        }
+        let object_pages = Arc::new(PageStore::read_from(r)?);
+        let object_store = ObjectStore::read_state(object_pages, &members, r)?;
+        let index_pages = Arc::new(PageStore::read_from(r)?);
+        let index = read_index(index_pages, router.domain, router.config, r)?;
+        let construction = ConstructionStats::read_from(r)?;
+        let mut shard = DerivationRouter::replica(members, router);
+        shard.epoch = index.epoch;
+        Ok(UvSystem {
+            router: shard,
+            object_store,
+            index,
+            construction,
+        })
+    }
+
     /// Loads a snapshot from a file.
     pub fn load_snapshot_from_path<P: AsRef<Path>>(path: P) -> Result<UvSystem, UvError> {
         let file = std::fs::File::open(path)?;
@@ -811,7 +881,7 @@ mod tests {
     #[test]
     fn roundtrip_is_bit_identical_and_updatable() {
         let (ds, mut sys) = fixture(150);
-        // Exercise a non-zero epoch, tombstones and free slots before saving.
+        // Exercise a non-zero epoch, freed pages and free slots before saving.
         sys.updater()
             .delete(3)
             .move_to(7, Point::new(4_321.0, 1_234.0))
@@ -902,16 +972,19 @@ mod tests {
             Err(UvError::SnapshotCorrupt(_))
         ));
 
-        // Unsupported version.
-        let mut bad = bytes.clone();
-        bad[8..12].copy_from_slice(&(FORMAT_VERSION + 7).to_le_bytes());
-        assert_eq!(
-            UvSystem::load_snapshot(&mut bad.as_slice()).unwrap_err(),
-            UvError::SnapshotVersionMismatch {
-                found: FORMAT_VERSION + 7,
-                supported: FORMAT_VERSION,
-            }
-        );
+        // Unsupported versions, among them 6, whose object-store state
+        // carries tombstones and whose page stores carry no free set.
+        for found in [6, FORMAT_VERSION + 7] {
+            let mut bad = bytes.clone();
+            bad[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                UvSystem::load_snapshot(&mut bad.as_slice()).unwrap_err(),
+                UvError::SnapshotVersionMismatch {
+                    found,
+                    supported: FORMAT_VERSION,
+                }
+            );
+        }
 
         // Fingerprint/config disagreement.
         let mut bad = bytes.clone();
@@ -938,6 +1011,29 @@ mod tests {
             UvSystem::load_snapshot(&mut doubled.as_slice()),
             Err(UvError::SnapshotCorrupt(_))
         ));
+    }
+
+    #[test]
+    fn a_grid_whose_leaves_share_a_page_fails_to_load() {
+        // Each leaf frees its own page list, so a loaded grid must not let
+        // two leaves own one page.
+        let (_, mut sys) = fixture(150);
+        let leaves: Vec<usize> = (0..sys.index.nodes.len())
+            .filter(|&i| matches!(sys.index.nodes[i], GridNode::Leaf { .. }))
+            .collect();
+        let GridNode::Leaf { list, .. } = &sys.index.nodes[leaves[0]] else {
+            unreachable!("filtered to leaves")
+        };
+        let shared = list.clone();
+        if let GridNode::Leaf { list, .. } = &mut sys.index.nodes[leaves[1]] {
+            *list = shared;
+        }
+        let mut state = Vec::new();
+        write_index(&sys.index, &mut state).unwrap();
+        let store = Arc::clone(sys.index.store());
+        let err =
+            read_index(store, sys.domain(), *sys.config(), &mut state.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("two page lists"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::engine::{QueryEngine, TrajectoryStep};
 use crate::index::UvIndex;
 use crate::router::{DerivationReport, DerivationRouter};
 use crate::stats::ConstructionStats;
-use crate::update::RefTable;
 use std::collections::HashMap;
 use std::sync::Arc;
 use uv_data::{ObjectId, ObjectStore, PnnAnswer, UncertainObject};
@@ -63,8 +62,13 @@ impl UvSystem {
         let rtree_pages = Arc::new(PageStore::new());
         let rtree = RTree::build(&objects, &object_store, rtree_pages);
         let (router, report) = DerivationRouter::derive(objects, domain, rtree, method, config);
-        let (index, construction) =
-            index_grid(&router, &object_store, &mbcs_of(&router.objects), &report);
+        let (index, construction) = index_grid(
+            &router,
+            &object_store,
+            &mbcs_of(&router.objects),
+            &report,
+            Arc::new(PageStore::new()),
+        );
         Ok(Self {
             router,
             object_store,
@@ -77,30 +81,21 @@ impl UvSystem {
     /// table without deriving anything: each member carries its router
     /// state, and overlap tests take referenced MBCs from `mbcs`, which must
     /// cover every object `global` holds (a reference can lie outside the
-    /// halo).
+    /// halo). A shard holds no R-tree: it never derives.
     pub(crate) fn routed(
         members: Vec<UncertainObject>,
         global: &DerivationRouter,
         mbcs: &HashMap<ObjectId, Circle>,
     ) -> Self {
         let object_store = ObjectStore::build(Arc::new(PageStore::new()), &members);
-        let rtree = RTree::build(&members, &object_store, Arc::new(PageStore::new()));
-        let ref_table: RefTable = members
-            .iter()
-            .map(|o| (o.id, global.ref_table[&o.id].clone()))
-            .collect();
-        let router = DerivationRouter {
-            objects: members,
-            domain: global.domain,
-            rtree,
-            ref_table,
-            config: global.config,
-            method: global.method,
-            epoch: 0,
-            derivations: 0,
-        };
-        let (index, construction) =
-            index_grid(&router, &object_store, mbcs, &DerivationReport::default());
+        let router = DerivationRouter::replica(members, global);
+        let (index, construction) = index_grid(
+            &router,
+            &object_store,
+            mbcs,
+            &DerivationReport::default(),
+            Arc::new(PageStore::new()),
+        );
         Self {
             router,
             object_store,
@@ -160,7 +155,9 @@ impl UvSystem {
         &self.index
     }
 
-    /// The R-tree baseline over the same objects.
+    /// The R-tree baseline over the same objects. A shard of a
+    /// [`crate::ShardedUvSystem`] never derives and holds no R-tree: its
+    /// tree is empty.
     pub fn rtree(&self) -> &RTree {
         &self.router.rtree
     }
@@ -206,7 +203,8 @@ impl UvSystem {
     }
 
     /// Answers the same PNN query with the R-tree branch-and-prune baseline
-    /// of \[14\] — the comparison of Figure 6.
+    /// of \[14\] — the comparison of Figure 6, which runs on an unsharded
+    /// system (a shard's empty tree gives the empty answer).
     pub fn pnn_rtree(&self, q: Point) -> PnnAnswer {
         pnn_query(
             &self.router.rtree,
@@ -236,14 +234,15 @@ impl UvSystem {
 }
 
 /// Phase B over `router`'s objects, with leaf entries pointing into
-/// `object_store`: the grid built from their states and `mbcs`, with its
-/// construction statistics (`report` is the derivation that produced the
-/// states).
+/// `object_store`: the grid built into `store` from their states and
+/// `mbcs`, with its construction statistics (`report` is the derivation
+/// that produced the states).
 pub(crate) fn index_grid(
     router: &DerivationRouter,
     object_store: &ObjectStore,
     mbcs: &HashMap<ObjectId, Circle>,
     report: &DerivationReport,
+    store: Arc<PageStore>,
 ) -> (UvIndex, ConstructionStats) {
     let entries = entries_of(&router.objects, object_store);
     let ctx = GridCtx {
@@ -255,7 +254,7 @@ pub(crate) fn index_grid(
         &router.objects,
         &ctx,
         router.domain,
-        Arc::new(PageStore::new()),
+        store,
         router.config,
         report,
     )

@@ -37,6 +37,13 @@
 //!    re-derived objects see exactly the tree a cold build would query. The
 //!    expensive, localized part — cr-derivation and leaf refinement — is
 //!    what the affected bounds confine.
+//! 5. **Live bytes only.** Every writer frees the pages it replaces before
+//!    it allocates: a rewritten, split or collapsed leaf frees its page list
+//!    (`UvIndex::set_node`), the re-pack frees the old tree's leaves, and
+//!    the object store rewrites records in place and frees emptied pages.
+//!    Stores reuse the lowest freed id first, so a churned system holds its
+//!    live pages plus at most one batch's churn, and snapshots like a fresh
+//!    build.
 //!
 //! # One pipeline
 //!
@@ -68,10 +75,11 @@
 //!   starts from the domain rectangle and the hull discretisation scales
 //!   with the domain side), *every* object is re-derived under the grown
 //!   domain and the grid is rebuilt canonically — but **into the live
-//!   system**: the object store (tombstones included) and the R-tree pages
-//!   carry over, the epoch advances exactly once, and
-//!   [`UpdateStats::domain_grown`] reports the event. The result is
-//!   bit-identical to a cold build at the grown domain by construction.
+//!   system**: the object store and R-tree carry over, the grown grid is
+//!   written into the pages the old grid freed in the same page store (whose
+//!   I/O counters therefore stay monotone), the epoch advances exactly
+//!   once, and [`UpdateStats::domain_grown`] reports the event. The result
+//!   is bit-identical to a cold build at the grown domain by construction.
 //! * **Memory budget `M` binds** — when the non-leaf budget denies a split,
 //!   budget allocation becomes order-dependent, so no *local* decision can
 //!   reproduce it. Repair therefore runs with an **unbounded** budget first
@@ -102,6 +110,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use uv_data::{ObjectId, UncertainObject};
 use uv_geom::{Circle, Point, Rect};
+use uv_rtree::RTree;
 
 /// Per-object state the system retains between updates: the reference ids
 /// the object was indexed under and the sensitivity bound that decides when
@@ -359,10 +368,10 @@ impl UvSystem {
     /// object store is updated and the R-tree repacked in its re-indexing
     /// step); steps 9–10 repair the grid from the change it reports.
     pub fn apply(&mut self, batch: UpdateBatch) -> Result<UpdateStats, UvError> {
-        let rtree_pages = Arc::clone(self.router.rtree.store());
         let object_store = &mut self.object_store;
-        let change = self.router.apply_with(batch, |objects, diff| {
-            diff.reindex(object_store, objects, rtree_pages)
+        let change = self.router.apply_with(batch, |objects, diff, pages| {
+            diff.apply_to_store(object_store);
+            RTree::build(objects, object_store, pages)
         })?;
         let noop = change.is_noop();
         let mut stats = change.stats;
@@ -403,8 +412,12 @@ impl UvSystem {
         report: &DerivationReport,
     ) {
         let epoch = self.index.epoch + 1;
+        // The grown grid goes into the same store — its counters must stay
+        // monotone across the batch — after the old grid's pages are freed.
+        self.index.free_leaves();
+        let store = Arc::clone(self.index.store());
         (self.index, self.construction) =
-            index_grid(&self.router, &self.object_store, mbcs, report);
+            index_grid(&self.router, &self.object_store, mbcs, report, store);
         self.index.epoch = epoch;
     }
 

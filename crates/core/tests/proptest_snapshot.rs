@@ -56,12 +56,58 @@ fn snapshot_bytes(sys: &UvSystem) -> Vec<u8> {
     bytes
 }
 
+type RawOp = (u8, u16, f64, f64);
+
+/// One update batch from raw ops: inserts get fresh ids from `next_id`,
+/// deletes and moves pick live targets, each at most once.
+fn batch_of(sys: &UvSystem, ops: &[RawOp], next_id: &mut u32) -> UpdateBatch {
+    let mut batch = UpdateBatch::new();
+    let live: Vec<u32> = sys.objects().iter().map(|o| o.id).collect();
+    let mut used: Vec<u32> = Vec::new();
+    for &(op, pick, x, y) in ops {
+        let target = live[pick as usize % live.len()];
+        match op % 3 {
+            0 => {
+                batch = batch.insert(UncertainObject::with_gaussian(
+                    *next_id,
+                    Point::new(x, y),
+                    20.0,
+                ));
+                *next_id += 1;
+            }
+            1 if !used.contains(&target) => {
+                batch = batch.delete(target);
+                used.push(target);
+            }
+            _ if !used.contains(&target) => {
+                batch = batch.move_to(target, Point::new(x, y));
+                used.push(target);
+            }
+            _ => {}
+        }
+    }
+    batch
+}
+
+/// The raw bytes of each page store — pages and free set — of `sys`.
+fn page_stores(sys: &UvSystem) -> [Vec<u8>; 3] {
+    use uv_store::codec::to_bytes;
+    [
+        to_bytes(&**sys.index().store()),
+        to_bytes(&**sys.object_store().store()),
+        to_bytes(&**sys.rtree().store()),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
 
     /// The tentpole oracle: a loaded system is indistinguishable from the
     /// saved one — structurally and behaviourally, through queries *and*
-    /// through a subsequent update batch.
+    /// through a subsequent update batch, after which both hold
+    /// byte-identical page stores, free sets included. The system churns
+    /// through up to three batches before the save, so the snapshot carries
+    /// freed pages.
     #[test]
     fn save_load_roundtrip_is_bit_identical(
         case in (60..110usize, 0..2u8, 0..2u8, 900.0..2_500.0f64, 0..10_000u64),
@@ -69,9 +115,21 @@ proptest! {
             (0..3u8, 0..u16::MAX, 50.0..9_950.0f64, 50.0..9_950.0f64),
             6..14,
         ),
+        churn in prop::collection::vec(
+            prop::collection::vec(
+                (0..3u8, 0..u16::MAX, 50.0..9_950.0f64, 50.0..9_950.0f64),
+                6..14,
+            ),
+            0..4,
+        ),
     ) {
         let (n, method_pick, kind_pick, sigma, seed) = case;
         let mut sys = build_case(n, method_pick, kind_pick, sigma, seed);
+        let mut next_id = 500_000u32;
+        for batch in &churn {
+            let batch = batch_of(&sys, batch, &mut next_id);
+            sys.apply(batch).unwrap();
+        }
 
         let bytes = snapshot_bytes(&sys);
         let mut loaded = UvSystem::load_snapshot(&mut bytes.as_slice()).unwrap();
@@ -95,32 +153,7 @@ proptest! {
 
         // The same update batch applied to both systems converges to the
         // same state: persistence must not disturb dynamic maintenance.
-        let mut batch = UpdateBatch::new();
-        let mut next_id = 500_000u32;
-        let live: Vec<u32> = sys.objects().iter().map(|o| o.id).collect();
-        let mut used: Vec<u32> = Vec::new();
-        for (op, pick, x, y) in ops {
-            let target = live[pick as usize % live.len()];
-            match op % 3 {
-                0 => {
-                    batch = batch.insert(UncertainObject::with_gaussian(
-                        next_id,
-                        Point::new(x, y),
-                        20.0,
-                    ));
-                    next_id += 1;
-                }
-                1 if !used.contains(&target) => {
-                    batch = batch.delete(target);
-                    used.push(target);
-                }
-                _ if !used.contains(&target) => {
-                    batch = batch.move_to(target, Point::new(x, y));
-                    used.push(target);
-                }
-                _ => {}
-            }
-        }
+        let batch = batch_of(&sys, &ops, &mut next_id);
         let sa = sys.apply(batch.clone()).unwrap();
         let sb = loaded.apply(batch).unwrap();
         prop_assert_eq!(sa.objects_rederived, sb.objects_rederived);
@@ -129,6 +162,8 @@ proptest! {
         prop_assert_eq!(sa.epoch, sb.epoch);
         prop_assert_eq!(canonical_leaves(&loaded), canonical_leaves(&sys));
         prop_assert_eq!(loaded.epoch(), sys.epoch());
+        // A loaded store allocates exactly as the saved one would have.
+        prop_assert_eq!(page_stores(&loaded), page_stores(&sys));
         for q in &queries {
             let x = sys.pnn(*q);
             let y = loaded.pnn(*q);

@@ -10,7 +10,7 @@
 use crate::object::{ObjectId, UncertainObject};
 use crate::pdf::Pdf;
 use bytes::Bytes;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 use uv_geom::{Circle, Point};
@@ -85,24 +85,26 @@ impl Record for ObjectEntry {
 /// query batch (the per-query cache models the buffer the paper's
 /// implementation would enjoy within a single query).
 ///
-/// The store is *dynamic*: [`ObjectStore::insert`] appends records
-/// (compacting into the current append page while it has room),
-/// [`ObjectStore::remove`] tombstones a record in place (the directory entry
-/// disappears, the page bytes stay), and [`ObjectStore::update`] combines
-/// the two. Tombstoned slots are never reused — a log-structured layout
-/// whose garbage is bounded by the churn volume, not the dataset size.
+/// The store is *dynamic* and its pages hold live records only:
+/// [`ObjectStore::update`] rewrites a record in place,
+/// [`ObjectStore::remove`] rewrites its page without the record and frees
+/// the page once it is empty, and [`ObjectStore::insert`] appends to the
+/// lowest-id page with room, or else to a new page. No record changes page
+/// unless its own operation moved it, so the record pointer
+/// ([`ObjectStore::ptr_of`]) a leaf entry holds for any other object never
+/// goes stale. Each operation writes at most one page.
 #[derive(Debug)]
 pub struct ObjectStore {
     store: Arc<PageStore>,
-    /// Object id -> (page, objects on that page).
+    /// Object id -> the page holding its record.
     directory: HashMap<ObjectId, PageId>,
     /// Decoded objects for verification-free access paths (construction).
     objects: HashMap<ObjectId, UncertainObject>,
     objects_per_page: usize,
-    /// The partially filled page appends go to, with its live record count.
-    append_page: Option<(PageId, usize)>,
-    /// Records removed from the directory whose page bytes remain.
-    tombstones: usize,
+    /// Pages that hold a record and have room for another: inserts fill the
+    /// lowest first. A pure function of the directory and the page lengths,
+    /// so a loader recomputes it.
+    open: BTreeSet<PageId>,
 }
 
 /// Fixed encoded size of one object record: id (4) + bar count (4) +
@@ -115,8 +117,7 @@ impl ObjectStore {
         let objects_per_page = (store.page_size() / OBJECT_RECORD_SIZE).max(1);
         let mut directory = HashMap::with_capacity(objects.len());
         let mut map = HashMap::with_capacity(objects.len());
-        // A partially filled final page keeps accepting appends.
-        let mut append_page = None;
+        let mut open = BTreeSet::new();
         for chunk in objects.chunks(objects_per_page) {
             let mut buf = Vec::with_capacity(chunk.len() * OBJECT_RECORD_SIZE);
             for o in chunk {
@@ -127,20 +128,21 @@ impl ObjectStore {
                 directory.insert(o.id, page);
                 map.insert(o.id, o.clone());
             }
-            append_page = (chunk.len() < objects_per_page).then_some((page, chunk.len()));
+            if chunk.len() < objects_per_page {
+                open.insert(page);
+            }
         }
         Self {
             store,
             directory,
             objects: map,
             objects_per_page,
-            append_page,
-            tombstones: 0,
+            open,
         }
     }
 
-    /// Appends a new object record, packing it into the current append page
-    /// when that still has room (one page write either way).
+    /// Stores a new object record on the lowest-id page with room, or on a
+    /// new page when every page is full (one page write either way).
     ///
     /// # Panics
     /// Panics if an object with the same id is already stored — callers
@@ -153,17 +155,21 @@ impl ObjectStore {
         );
         let mut record = Vec::with_capacity(OBJECT_RECORD_SIZE);
         encode_object(object, &mut record);
-        let page = match self.append_page {
-            Some((page, count)) if count < self.objects_per_page => {
+        let page = match self.open.first().copied() {
+            Some(page) => {
                 let mut bytes = self.store.read_uncounted(page).to_vec();
                 bytes.extend_from_slice(&record);
+                if !has_room(bytes.len(), self.objects_per_page) {
+                    self.open.remove(&page);
+                }
                 self.store.write(page, Bytes::from(bytes));
-                self.append_page = Some((page, count + 1));
                 page
             }
-            _ => {
+            None => {
                 let page = self.store.allocate(Bytes::from(record));
-                self.append_page = Some((page, 1));
+                if has_room(OBJECT_RECORD_SIZE, self.objects_per_page) {
+                    self.open.insert(page);
+                }
                 page
             }
         };
@@ -171,30 +177,44 @@ impl ObjectStore {
         self.objects.insert(object.id, object.clone());
     }
 
-    /// Tombstones the record of `id`: the directory entry and decoded object
-    /// disappear, the page bytes stay behind as garbage. Returns `false`
-    /// when the id was not stored.
+    /// Removes the record of `id`: its page is rewritten without it, or
+    /// freed when it was the page's last record. Returns `false` when the id
+    /// was not stored.
     pub fn remove(&mut self, id: ObjectId) -> bool {
-        if self.directory.remove(&id).is_none() {
+        let Some(page) = self.directory.remove(&id) else {
             return false;
-        }
+        };
         self.objects.remove(&id);
-        self.tombstones += 1;
+        let mut bytes = self.store.read_uncounted(page).to_vec();
+        let at = record_offset(&bytes, id);
+        bytes.drain(at..at + OBJECT_RECORD_SIZE);
+        if bytes.is_empty() {
+            self.open.remove(&page);
+            self.store.free(page);
+        } else {
+            self.open.insert(page);
+            self.store.write(page, Bytes::from(bytes));
+        }
         true
     }
 
-    /// Rewrites the record of `object` (tombstone + append).
+    /// Rewrites the record of `object` in place, on the page it already
+    /// occupies.
     ///
     /// # Panics
     /// Panics if the object is not currently stored.
     pub fn update(&mut self, object: &UncertainObject) {
-        assert!(self.remove(object.id), "object {} is not stored", object.id);
-        self.insert(object);
-    }
-
-    /// Number of tombstoned (removed but not reclaimed) records.
-    pub fn tombstones(&self) -> usize {
-        self.tombstones
+        let page = *self
+            .directory
+            .get(&object.id)
+            .unwrap_or_else(|| panic!("object {} is not stored", object.id));
+        let mut bytes = self.store.read_uncounted(page).to_vec();
+        let at = record_offset(&bytes, object.id);
+        let mut record = Vec::with_capacity(OBJECT_RECORD_SIZE);
+        encode_object(object, &mut record);
+        bytes[at..at + OBJECT_RECORD_SIZE].copy_from_slice(&record);
+        self.store.write(page, Bytes::from(bytes));
+        self.objects.insert(object.id, object.clone());
     }
 
     /// Number of objects per full page.
@@ -244,11 +264,11 @@ impl ObjectStore {
         &self.store
     }
 
-    /// Writes the persistent state of the store: the id → page directory
-    /// (id-sorted for a deterministic byte stream), the open append page and
-    /// the tombstone count. The page *bytes* belong to the backing
-    /// [`PageStore`], persisted separately; the decoded-object cache is
-    /// rebuilt on load from the live object set.
+    /// Writes the persistent state of the store: the id → page directory,
+    /// id-sorted for a deterministic byte stream. The page *bytes* belong to
+    /// the backing [`PageStore`], persisted separately; the pages with room
+    /// follow from the directory and the page lengths, and the
+    /// decoded-object cache is rebuilt on load from the live object set.
     pub fn write_state<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
         let mut directory: Vec<(u32, u32)> = self
             .directory
@@ -256,11 +276,7 @@ impl ObjectStore {
             .map(|(id, page)| (*id, page.0))
             .collect();
         directory.sort_unstable();
-        directory.write_to(w)?;
-        self.append_page
-            .map(|(page, count)| (page.0, count as u64))
-            .write_to(w)?;
-        (self.tombstones as u64).write_to(w)
+        directory.write_to(w)
     }
 
     /// Reconstructs a store over an already-loaded page `store`.
@@ -269,41 +285,53 @@ impl ObjectStore {
     /// it refills the decoded-object cache without re-reading (and
     /// re-truncating) page bytes, so fetches after a load return records
     /// bit-identical to the never-persisted store. Any disagreement between
-    /// the directory and the object set, or any out-of-range page id, is
-    /// reported as corruption rather than panicking later.
+    /// the directory and the object set, a page that is not allocated, or a
+    /// page that does not hold exactly the records the directory maps to it
+    /// is reported as corruption rather than panicking in a later update.
     pub fn read_state<R: Read + ?Sized>(
         store: Arc<PageStore>,
         objects: &[UncertainObject],
         r: &mut R,
     ) -> io::Result<Self> {
         let objects_per_page = (store.page_size() / OBJECT_RECORD_SIZE).max(1);
-        let available = store.num_pages();
         let raw_directory: Vec<(u32, u32)> = Vec::read_from(r)?;
         let mut directory = HashMap::with_capacity(raw_directory.len());
+        let mut records: HashMap<PageId, Vec<ObjectId>> = HashMap::new();
         for (id, page) in raw_directory {
-            if (page as usize) >= available {
+            let page = PageId(page);
+            if !store.is_allocated(page) {
                 return Err(corrupt(format!(
-                    "object {id} points at page {page}, store holds {available}"
+                    "object {id} points at page {}, which is not allocated",
+                    page.0
                 )));
             }
-            if directory.insert(id, PageId(page)).is_some() {
+            if directory.insert(id, page).is_some() {
                 return Err(corrupt(format!(
                     "object {id} appears twice in the directory"
                 )));
             }
+            records.entry(page).or_default().push(id);
         }
-        let append_page = match Option::<(u32, u64)>::read_from(r)? {
-            None => None,
-            Some((page, count)) => {
-                if (page as usize) >= available || count as usize > objects_per_page {
-                    return Err(corrupt(format!(
-                        "implausible append page {page} with {count} records"
-                    )));
-                }
-                Some((PageId(page), count as usize))
+        let mut open = BTreeSet::new();
+        for (page, mut ids) in records {
+            let bytes = store.read_uncounted(page);
+            let mut held: Vec<ObjectId> = bytes
+                .chunks(OBJECT_RECORD_SIZE)
+                .map(|rec| rec.get(0..4).map_or(ObjectId::MAX, record_id))
+                .collect();
+            ids.sort_unstable();
+            held.sort_unstable();
+            if !bytes.len().is_multiple_of(OBJECT_RECORD_SIZE) || held != ids {
+                return Err(corrupt(format!(
+                    "object page {} does not hold exactly the {} records mapped to it",
+                    page.0,
+                    ids.len()
+                )));
             }
-        };
-        let tombstones = u64::read_from(r)? as usize;
+            if has_room(bytes.len(), objects_per_page) {
+                open.insert(page);
+            }
+        }
 
         let mut map = HashMap::with_capacity(objects.len());
         for o in objects {
@@ -329,10 +357,28 @@ impl ObjectStore {
             directory,
             objects: map,
             objects_per_page,
-            append_page,
-            tombstones,
+            open,
         })
     }
+}
+
+/// `true` when an object page of `len` bytes has room for one more record.
+fn has_room(len: usize, objects_per_page: usize) -> bool {
+    len < objects_per_page * OBJECT_RECORD_SIZE
+}
+
+/// The object id a record starts with.
+fn record_id(rec: &[u8]) -> ObjectId {
+    ObjectId::from_le_bytes([rec[0], rec[1], rec[2], rec[3]])
+}
+
+/// Byte offset of `id`'s record on a page the directory maps it to.
+fn record_offset(page: &[u8], id: ObjectId) -> usize {
+    let slot = page
+        .chunks_exact(OBJECT_RECORD_SIZE)
+        .position(|rec| record_id(rec) == id)
+        .expect("a directory page holds the record of every id it maps");
+    slot * OBJECT_RECORD_SIZE
 }
 
 fn encode_object(o: &UncertainObject, buf: &mut Vec<u8>) {
@@ -446,32 +492,37 @@ mod tests {
 
     #[test]
     fn churn_keeps_ptr_of_and_fetch_consistent() {
-        // Regression for the dynamic store: after interleaved tombstoned
-        // deletes, appends and rewrites, every live object must fetch to its
+        // Regression for the dynamic store: after interleaved deletes,
+        // inserts and in-place rewrites, every live object must fetch to its
         // exact record, its pointer must name the page the record lives on,
         // and dead ids must be gone.
         let page_store = Arc::new(PageStore::new());
         let mut objects = sample_objects(40);
         let mut store = ObjectStore::build(Arc::clone(&page_store), &objects);
+        let pages = page_store.num_pages();
 
-        // Delete every fourth object.
+        // Delete every fourth object: the pages shrink but none empties.
         for id in (0..40u32).step_by(4) {
             assert!(store.remove(id));
             assert!(!store.remove(id), "double delete must report false");
         }
         assert_eq!(store.len(), 30);
-        assert_eq!(store.tombstones(), 10);
+        assert_eq!(page_store.num_pages(), pages);
 
-        // Append a fresh batch (re-using two of the freed ids).
+        // Insert a fresh batch (re-using two of the freed ids): the holes
+        // the deletes left take it, so no page is added.
         let mut fresh = sample_objects(48)[40..].to_vec();
         fresh.push(UncertainObject::with_uniform(0, Point::new(7.0, 7.0), 2.0));
         fresh.push(UncertainObject::with_gaussian(4, Point::new(9.0, 9.0), 3.0));
         for o in &fresh {
             store.insert(o);
         }
-        // Move a survivor: its record is rewritten on an append page.
+        assert_eq!(page_store.num_pages(), pages);
+        // Move a survivor: its record is rewritten in place.
+        let ptr = store.ptr_of(13);
         objects[13] = UncertainObject::with_gaussian(13, Point::new(-3.0, -4.0), 5.0);
         store.update(&objects[13]);
+        assert_eq!(store.ptr_of(13), ptr);
 
         // `objects[13]` already holds the rewritten record.
         let live: Vec<UncertainObject> = objects
@@ -531,11 +582,62 @@ mod tests {
     }
 
     #[test]
-    fn state_roundtrip_preserves_directory_appends_and_tombstones() {
+    fn records_stay_put_and_pages_hold_live_records_only() {
+        let page_store = Arc::new(PageStore::new());
+        let per_page = ObjectStore::build(Arc::new(PageStore::new()), &[]).objects_per_page();
+        let objects = sample_objects(3 * per_page as u32);
+        let mut store = ObjectStore::build(Arc::clone(&page_store), &objects);
+        assert_eq!(page_store.num_pages(), 3);
+        let writes = page_store.io().writes;
+
+        // A move rewrites one page and keeps its pointer.
+        let last = objects.last().unwrap().id;
+        let ptr = store.ptr_of(last);
+        store.update(&UncertainObject::with_uniform(
+            last,
+            Point::new(1.0, 1.0),
+            2.0,
+        ));
+        assert_eq!(store.ptr_of(last), ptr);
+        assert_eq!(page_store.io().writes, writes + 1);
+
+        // Emptying the middle page frees it; a delete elsewhere rewrites
+        // its page without the record.
+        let middle = store.ptr_of(objects[per_page].id);
+        for o in &objects[per_page..2 * per_page] {
+            assert!(store.remove(o.id));
+        }
+        assert!(store.remove(objects[0].id));
+        assert_eq!(page_store.num_pages(), 2);
+        assert_eq!(page_store.free_pages(), 1);
+        assert_eq!(
+            page_store.stored_bytes(),
+            store.len() * OBJECT_RECORD_SIZE,
+            "object pages hold live records only"
+        );
+
+        // An insert fills the lowest page with room; once every page is
+        // full, the next one takes the freed id.
+        let fresh = |id: u32| UncertainObject::with_uniform(id, Point::new(5.0, 5.0), 1.0);
+        store.insert(&fresh(900));
+        assert_eq!(store.ptr_of(900), store.ptr_of(objects[1].id));
+        store.insert(&fresh(901));
+        assert_eq!(page_store.free_pages(), 0);
+        assert_eq!(store.ptr_of(901), middle);
+        for o in objects.iter().chain([&fresh(900), &fresh(901)]) {
+            if let Some(live) = store.get(o.id) {
+                let mut touched = HashSet::new();
+                assert_eq!(store.fetch(o.id, &mut touched).as_ref(), Some(live));
+            }
+        }
+    }
+
+    #[test]
+    fn state_roundtrip_preserves_the_directory_and_pages_with_room() {
         let page_store = Arc::new(PageStore::new());
         let mut objects = sample_objects(30);
         let mut store = ObjectStore::build(Arc::clone(&page_store), &objects);
-        // Churn so the persisted state covers tombstones, appends and moves.
+        // Churn so the persisted state covers deletes, inserts and moves.
         store.remove(3);
         store.remove(17);
         objects[5] = UncertainObject::with_gaussian(5, Point::new(-1.0, -2.0), 4.0);
@@ -560,15 +662,13 @@ mod tests {
             ObjectStore::read_state(Arc::clone(&pages), &live, &mut state.as_slice()).unwrap();
 
         assert_eq!(back.len(), store.len());
-        assert_eq!(back.tombstones(), store.tombstones());
         assert_eq!(back.objects_per_page(), store.objects_per_page());
         for o in &live {
             assert_eq!(back.ptr_of(o.id), store.ptr_of(o.id), "pointer of {}", o.id);
             let mut touched = HashSet::new();
             assert_eq!(back.fetch(o.id, &mut touched).as_ref(), Some(o));
         }
-        // The restored append page keeps compacting appends like the
-        // original would.
+        // The restored pages with room take inserts like the original's.
         let mut back = back;
         let mut orig = store;
         let next = UncertainObject::with_uniform(91, Point::new(9.0, 9.0), 2.0);
@@ -601,6 +701,32 @@ mod tests {
         // A directory pointing at a page the store does not hold.
         let empty = Arc::new(PageStore::new());
         assert!(ObjectStore::read_state(empty, &objects, &mut state.as_slice()).is_err());
+        // A directory naming a free page: the page was freed after the save.
+        let page = PageId(store.ptr_of(objects[0].id) as u32);
+        let freed = Arc::new(PageStore::new());
+        ObjectStore::build(Arc::clone(&freed), &objects);
+        freed.free(page);
+        let err = ObjectStore::read_state(freed, &objects, &mut state.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("not allocated"), "{err}");
+        // A page holding other records than the directory maps to it: too
+        // few, or the right number with a foreign id.
+        for records in [vec![0u8; OBJECT_RECORD_SIZE], {
+            let mut foreign = Vec::new();
+            for o in &objects[1..] {
+                encode_object(o, &mut foreign);
+            }
+            encode_object(
+                &UncertainObject::with_uniform(77, Point::new(1.0, 1.0), 1.0),
+                &mut foreign,
+            );
+            foreign
+        }] {
+            let bad = Arc::new(PageStore::new());
+            ObjectStore::build(Arc::clone(&bad), &objects);
+            bad.write(page, Bytes::from(records));
+            let err = ObjectStore::read_state(bad, &objects, &mut state.as_slice()).unwrap_err();
+            assert!(err.to_string().contains("does not hold exactly"), "{err}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use uv_data::{ObjectEntry, ObjectStore, UncertainObject};
 use uv_geom::Rect;
 use uv_store::codec::{corrupt, Decode, Encode};
-use uv_store::{PageStore, PagedList};
+use uv_store::{ensure_disjoint, PageStore, PagedList};
 
 /// Construction parameters of the R-tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,6 +178,18 @@ impl RTree {
         Self::bulk_load(objects, object_store, store, RTreeConfig::default())
     }
 
+    /// Empties the tree and frees its leaf pages, so the next bulk load
+    /// into the same store reuses them instead of growing it.
+    pub fn clear(&mut self) {
+        for leaf in self.leaves.drain(..) {
+            leaf.entries.free();
+        }
+        self.internal_nodes.clear();
+        self.root = None;
+        self.height = 0;
+        self.len = 0;
+    }
+
     /// Number of indexed objects.
     pub fn len(&self) -> usize {
         self.len
@@ -300,6 +312,7 @@ impl RTree {
                 count,
             });
         }
+        ensure_disjoint(leaves.iter().map(|leaf| &leaf.entries))?;
         let (n_internal, n_leaves) = (internal_nodes.len(), leaves.len());
         let check = move |node: NodeRef| match node {
             NodeRef::Internal(i) if (i as usize) < n_internal => Ok(node),
@@ -470,6 +483,21 @@ mod tests {
         assert_eq!(bad[32], 1, "root Option must be present");
         bad[33] = 7; // invalid tag
         assert!(RTree::read_state(Arc::clone(&pages), &mut bad.as_slice()).is_err());
+        // Two leaves naming one page.
+        let mut shared = RTree::read_state(Arc::clone(&pages), &mut state.as_slice()).unwrap();
+        shared.leaves[1].entries = shared.leaves[0].entries.clone();
+        let mut bad = Vec::new();
+        shared.write_state(&mut bad).unwrap();
+        let err = RTree::read_state(Arc::clone(&pages), &mut bad.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("two page lists"), "{err}");
+        // Leaves naming pages their store has since freed.
+        let freed: PageStore =
+            uv_store::codec::from_bytes(&uv_store::codec::to_bytes(&**tree.store())).unwrap();
+        let freed = Arc::new(freed);
+        let mut copy = RTree::read_state(Arc::clone(&freed), &mut state.as_slice()).unwrap();
+        copy.clear();
+        let err = RTree::read_state(freed, &mut state.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("not allocated"), "{err}");
 
         // An empty tree round-trips too.
         let empty_pages = Arc::new(PageStore::new());
@@ -480,6 +508,22 @@ mod tests {
         let back = RTree::read_state(empty_pages, &mut state.as_slice()).unwrap();
         assert!(back.is_empty());
         assert!(back.root().is_none());
+    }
+
+    #[test]
+    fn clear_frees_the_leaves_for_the_next_bulk_load() {
+        let ds = Dataset::generate(GeneratorConfig::paper_uniform(537));
+        let pages = Arc::new(PageStore::new());
+        let mut tree = RTree::build_index_only(&ds.objects, Arc::clone(&pages));
+        let leaf_pages = pages.num_pages();
+        assert_eq!(leaf_pages, tree.num_leaves());
+        tree.clear();
+        assert!(tree.is_empty());
+        assert!(tree.knn(Point::new(5_000.0, 5_000.0), 3, None).is_empty());
+        assert_eq!((pages.num_pages(), pages.free_pages()), (0, leaf_pages));
+        let repacked = RTree::build_index_only(&ds.objects[..300], Arc::clone(&pages));
+        assert_eq!(pages.num_pages(), repacked.num_leaves());
+        assert_eq!(pages.free_pages(), leaf_pages - repacked.num_leaves());
     }
 
     #[test]

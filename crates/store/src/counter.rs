@@ -2,7 +2,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonically increasing counters of page reads and writes.
+/// Monotonically increasing counters of page reads and writes, plus the
+/// pages freed for reuse (which are no I/O).
 ///
 /// Counters are updated with relaxed atomics: the experiments only need
 /// totals observed after the measured operation has completed on the same
@@ -11,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct IoCounters {
     reads: AtomicU64,
     writes: AtomicU64,
+    frees: AtomicU64,
 }
 
 /// A point-in-time copy of the counters.
@@ -18,6 +20,8 @@ pub struct IoCounters {
 pub struct IoSnapshot {
     pub reads: u64,
     pub writes: u64,
+    /// Pages freed for reuse — not I/O, so not part of [`IoSnapshot::total`].
+    pub frees: u64,
 }
 
 impl IoSnapshot {
@@ -27,6 +31,7 @@ impl IoSnapshot {
         IoSnapshot {
             reads: self.reads.saturating_sub(earlier.reads),
             writes: self.writes.saturating_sub(earlier.writes),
+            frees: self.frees.saturating_sub(earlier.frees),
         }
     }
 
@@ -51,18 +56,25 @@ impl IoCounters {
         self.writes.fetch_add(1, Ordering::Relaxed);
     }
 
+    #[inline]
+    pub fn record_free(&self) {
+        self.frees.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Current totals.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
+            frees: self.frees.load(Ordering::Relaxed),
         }
     }
 
-    /// Resets both counters to zero (used between experiment repetitions).
+    /// Resets every counter to zero (used between experiment repetitions).
     pub fn reset(&self) {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
+        self.frees.store(0, Ordering::Relaxed);
     }
 }
 
@@ -77,9 +89,11 @@ mod tests {
         c.record_read();
         c.record_read();
         c.record_write();
+        c.record_free();
         let s = c.snapshot();
         assert_eq!(s.reads, 2);
         assert_eq!(s.writes, 1);
+        assert_eq!(s.frees, 1);
         assert_eq!(s.total(), 3);
     }
 

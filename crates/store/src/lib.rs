@@ -6,14 +6,17 @@
 //! This crate provides that substrate:
 //!
 //! * [`PageStore`] — a thread-safe collection of fixed-size pages whose every
-//!   read and write is counted by [`IoCounters`].
-//! * [`PagedList`] — an append-only list of fixed-size records spread across
-//!   pages, the structure used both by R-tree leaf nodes and by the linked
-//!   page lists attached to UV-index leaves (`<ID, MBC, pointer>` tuples).
+//!   read and write is counted by [`IoCounters`]; freed pages are reused,
+//!   lowest id first, before the store appends.
+//! * [`PagedList`] — a list of fixed-size records spread across pages, grown
+//!   by appending and freed as a whole when its owner replaces it: the
+//!   structure used both by R-tree leaf nodes and by the linked page lists
+//!   attached to UV-index leaves (`<ID, MBC, pointer>` tuples).
 //! * [`codec`] — the hand-rolled little-endian [`codec::Encode`] /
 //!   [`codec::Decode`] layer of the snapshot subsystem: primitive and
 //!   container codecs, FNV-1a checksums and framed sections. Both storage
-//!   structures persist through it (`PageStore` as raw pages, `PagedList` via
+//!   structures persist through it (`PageStore` as raw pages plus its free
+//!   set, `PagedList` via
 //!   [`PagedList::write_state`] / [`PagedList::read_state`]); I/O counters
 //!   are runtime-only and reset on load.
 //!
@@ -31,5 +34,5 @@ pub mod page;
 
 pub use codec::{Decode, Encode};
 pub use counter::{IoCounters, IoSnapshot};
-pub use list::{PagedList, Record};
+pub use list::{ensure_disjoint, PagedList, Record};
 pub use page::{PageId, PageStore, DEFAULT_PAGE_SIZE};

@@ -1,14 +1,20 @@
-//! Append-only lists of fixed-size records packed into pages.
+//! Lists of fixed-size records packed into pages.
 //!
 //! Both index structures of the paper keep their leaf-level payload as lists
 //! of `<ID, MBC, pointer>` tuples on disk pages: the R-tree leaf nodes and
 //! the "linked list of disk pages" attached to every UV-index leaf
 //! (Section V-A). [`PagedList`] is that structure; reading it back counts one
 //! I/O per page, which is exactly what Figure 6(b) measures.
+//!
+//! A list only grows by appending. A writer that replaces a list calls
+//! [`PagedList::free`] on the old one *before* it builds the new one, so the
+//! new pages reuse the old ids. Lists are `Clone`, so freeing is always this
+//! explicit call, never a `Drop`.
 
 use crate::codec::{corrupt, Decode, Encode};
 use crate::page::{PageId, PageStore};
 use bytes::Bytes;
+use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
@@ -25,7 +31,7 @@ pub trait Record: Sized {
     fn decode(buf: &[u8]) -> Self;
 }
 
-/// An append-only, page-backed list of records.
+/// A page-backed list of records, grown by appending.
 #[derive(Debug, Clone)]
 pub struct PagedList<T: Record> {
     store: Arc<PageStore>,
@@ -141,6 +147,14 @@ impl<T: Record + Clone> PagedList<T> {
         &self.store
     }
 
+    /// Frees every sealed page of the list for reuse by the next allocation
+    /// in its store. The list is consumed: its pages are no longer its own.
+    pub fn free(self) {
+        for page in self.pages {
+            self.store.free(page);
+        }
+    }
+
     /// Writes the persistent state of the list: the page ids it occupies and
     /// the unsealed tail records. The page *contents* belong to the backing
     /// [`PageStore`], which is persisted separately — a list state is only
@@ -161,21 +175,22 @@ impl<T: Record + Clone> PagedList<T> {
     }
 
     /// Reconstructs a list from its persisted state over an already-loaded
-    /// `store`. Every page id is validated against the store so a corrupted
-    /// snapshot cannot panic a later [`PagedList::read_all`].
+    /// `store`. Every page id must name an allocated page of the store, so a
+    /// corrupted snapshot cannot panic a later [`PagedList::read_all`] or
+    /// [`PagedList::free`].
     pub fn read_state<R: Read + ?Sized>(store: Arc<PageStore>, r: &mut R) -> io::Result<Self> {
         let num_pages = usize::read_from(r)?;
-        let available = store.num_pages();
         let records_per_page = store.page_size() / T::SIZE;
         let mut pages = Vec::with_capacity(num_pages.min(4_096));
         for _ in 0..num_pages {
-            let id = u32::read_from(r)?;
-            if (id as usize) >= available {
+            let id = PageId(u32::read_from(r)?);
+            if !store.is_allocated(id) {
                 return Err(corrupt(format!(
-                    "page list references page {id}, store holds {available}"
+                    "page list references page {}, which is not allocated",
+                    id.0
                 )));
             }
-            pages.push(PageId(id));
+            pages.push(id);
         }
         let tail_len = usize::read_from(r)?;
         if tail_len >= records_per_page.max(1) {
@@ -201,6 +216,24 @@ impl<T: Record + Clone> PagedList<T> {
             len,
         })
     }
+}
+
+/// Checks that no page belongs to two of `lists` — the page lists of one
+/// loaded structure. Each list frees its own pages, so a shared page would
+/// be freed twice.
+pub fn ensure_disjoint<'a, T: Record + 'a>(
+    lists: impl IntoIterator<Item = &'a PagedList<T>>,
+) -> io::Result<()> {
+    let mut owned = HashSet::new();
+    for page in lists.into_iter().flat_map(|list| &list.pages) {
+        if !owned.insert(*page) {
+            return Err(corrupt(format!(
+                "page {} belongs to two page lists",
+                page.0
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -311,15 +344,54 @@ mod tests {
         }
         let mut state = Vec::new();
         list.write_state(&mut state).unwrap();
-        // Patch the single page id (after the u64 page count) out of range.
+        // Patch the single page id (after the u64 page count) out of range,
+        // then to a page of the store that was freed.
         let mut bad = state.clone();
         bad[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert!(PagedList::<Rec>::read_state(Arc::clone(&store), &mut bad.as_slice()).is_err());
+        let mut freed = PagedList::new(Arc::clone(&store));
+        for i in 0..4u64 {
+            freed.push(Rec(i));
+        }
+        freed.free();
+        let mut bad = state.clone();
+        bad[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(!store.is_allocated(PageId(1)));
+        assert!(PagedList::<Rec>::read_state(Arc::clone(&store), &mut bad.as_slice()).is_err());
+        // Two lists naming one page each read, but not as one structure's.
+        let twice: Vec<PagedList<Rec>> = (0..2)
+            .map(|_| PagedList::read_state(Arc::clone(&store), &mut state.as_slice()).unwrap())
+            .collect();
+        assert!(ensure_disjoint(&twice[..1]).is_ok());
+        let err = ensure_disjoint(&twice).unwrap_err();
+        assert!(err.to_string().contains("two page lists"), "{err}");
         // Patch the tail length to a full page's worth.
         let mut bad = state.clone();
         let tail_at = bad.len() - 8;
         bad[tail_at..].copy_from_slice(&4u64.to_le_bytes());
         assert!(PagedList::<Rec>::read_state(store, &mut bad.as_slice()).is_err());
+    }
+
+    #[test]
+    fn a_freed_list_hands_its_pages_to_the_next_list() {
+        let store = small_store();
+        let mut old = PagedList::new(Arc::clone(&store));
+        for i in 0..10u64 {
+            old.push(Rec(i));
+        }
+        old.seal();
+        let before = store.num_pages();
+        old.free();
+        assert_eq!(store.num_pages(), 0);
+        assert_eq!(store.free_pages(), before);
+        let mut new = PagedList::new(Arc::clone(&store));
+        for i in 0..9u64 {
+            new.push(Rec(i + 100));
+        }
+        new.seal();
+        assert_eq!(store.num_pages(), 3);
+        assert_eq!(store.free_pages(), 0);
+        assert_eq!(new.read_all_uncounted()[8], Rec(108));
     }
 
     #[test]
