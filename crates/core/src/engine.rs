@@ -19,6 +19,10 @@
 //!   sequence of query points and reports per-step answer deltas
 //!   ([`uv_data::AnswerDelta`]): which objects entered/left the answer set as
 //!   the query moved.
+//! * **One routed serving body** — batches, trajectories and subscriptions
+//!   of both serving types run over the crate-internal routed view (shard
+//!   engines behind a shard layout); an unsharded system, and a bare
+//!   engine's trajectory, are the 1×1 layout.
 //!
 //! Per-query I/O attribution stays exact under concurrency: every answer's
 //! [`uv_data::QueryBreakdown`] counts the page reads *this* query performed
@@ -31,8 +35,11 @@
 
 #![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
+use crate::config::UvConfig;
 use crate::index::UvIndex;
+use crate::shard::Layout;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use uv_data::{
@@ -194,7 +201,7 @@ impl LeafCache {
 /// the three per-candidate distance terms are recomputed per step; the ring
 /// tables were built once at derivation time.
 #[derive(Debug)]
-pub(crate) struct StepReuse {
+struct StepReuse {
     leaf: usize,
     anchor: Point,
     radius: f64,
@@ -276,6 +283,17 @@ pub(crate) fn fan_out<T: Send, S: Default, R: Send>(
     })
 }
 
+/// Pool workers of a per-shard fan-out: a thread per job when
+/// `config.parallel`, the calling thread otherwise. Shard builds, routed
+/// batches, update reconciliation and reshard rebuilds all use it.
+pub(crate) fn shard_workers(config: &UvConfig) -> usize {
+    if config.parallel {
+        usize::MAX
+    } else {
+        1
+    }
+}
+
 /// A concurrent batched PNN query engine over a shared read-only
 /// [`UvIndex`] — the serving layer the `docs/PAPER_MAP.md` Section V-A row
 /// describes alongside the paper's single-point lookup.
@@ -312,16 +330,14 @@ impl<'a> QueryEngine<'a> {
     /// cache toggle and integration steps from the index's [`crate::UvConfig`].
     pub fn new(index: &'a UvIndex, objects: &'a ObjectStore) -> Self {
         let config = index.config();
-        let cache = config
-            .leaf_cache
-            .then(|| LeafCache::new(index.epoch(), index.nodes.len()));
         Self {
             index,
             objects,
             workers: config.resolved_query_workers().max(1),
             integration_steps: config.integration_steps,
-            cache,
+            cache: None,
         }
+        .with_cache(config.leaf_cache)
     }
 
     /// Overrides the worker count (clamped to at least 1).
@@ -459,7 +475,7 @@ impl<'a> QueryEngine<'a> {
     /// leaf). Returns the answer and whether it was served from the cached
     /// candidate arena. On a miss the reuse state is re-derived (or cleared,
     /// outside the domain / when no useful stability radius exists).
-    pub(crate) fn pnn_step(&self, q: Point, reuse: &mut Option<StepReuse>) -> (PnnAnswer, bool) {
+    fn pnn_step(&self, q: Point, reuse: &mut Option<StepReuse>) -> (PnnAnswer, bool) {
         if let Some(r) = reuse.as_mut() {
             if q.dist(r.anchor) < r.radius && self.index.locate_leaf(q) == Some(r.leaf) {
                 // The tail of the full pipeline over the cached candidate
@@ -528,55 +544,148 @@ impl<'a> QueryEngine<'a> {
 
     /// Answers a moving-PNN workload: `path` is a sequence of query points
     /// along a trajectory; each step carries the full answer plus the delta
-    /// against the previous step's answer set.
+    /// against the previous step's answer set — the routed view's walk, the
+    /// engine being the 1×1 layout.
     ///
     /// With [`crate::UvConfig::safe_region`] enabled (the default) the walk
     /// carries a stability disk: consecutive points inside the previous full
     /// derivation's disk skip the index descent and recompute from the
     /// cached candidate set ([`TrajectoryStep::reused`] is `true`), with
     /// answers bit-identical to a full evaluation. When disabled, every
-    /// point is answered through [`QueryEngine::pnn_batch`] as before.
+    /// point is answered through [`QueryEngine::pnn_batch`]. A point outside
+    /// the domain, or with a NaN or infinite coordinate, gets the empty
+    /// answer and is never reused.
     pub fn pnn_trajectory(&self, path: &[Point]) -> Vec<TrajectoryStep> {
-        if !self.index.config().safe_region {
-            let answers = self.pnn_batch(path).into_iter().map(|a| (a, false));
-            return trajectory_steps(path, answers.collect());
-        }
-        let mut reuse = None;
-        let answers: Vec<(PnnAnswer, bool)> =
-            path.iter().map(|q| self.pnn_step(*q, &mut reuse)).collect();
-        trajectory_steps(path, answers)
+        self.routed(|view| view.pnn_trajectory(path))
+    }
+
+    /// Runs `f` on the routed view of this engine as the 1×1 layout.
+    pub(crate) fn routed<R>(&self, f: impl FnOnce(RoutedView<'_, 'a>) -> R) -> R {
+        let layout = Layout::uniform(self.index.domain(), 1);
+        f(RoutedView::over(std::slice::from_ref(self), &layout))
     }
 }
 
-/// Folds per-point answers (and their reuse flags) into [`TrajectoryStep`]s
-/// with answer-set deltas, in path order. Shared by
-/// [`QueryEngine::pnn_trajectory`] and the domain-sharded serving layer
-/// ([`crate::shard::ShardedUvSystem`]), whose trajectory queries re-route to
-/// a different shard at every shard-boundary crossing while the delta chain
-/// stays one unbroken sequence.
-pub(crate) fn trajectory_steps(
-    path: &[Point],
-    answers: Vec<(PnnAnswer, bool)>,
-) -> Vec<TrajectoryStep> {
-    let mut steps = Vec::with_capacity(answers.len());
-    let mut prev = PnnAnswer::default();
-    for (position, (answer, reused)) in path.iter().zip(answers) {
-        let delta = AnswerDelta::between(&prev, &answer);
-        prev = answer.clone();
-        steps.push(TrajectoryStep {
-            position: *position,
-            answer,
-            delta,
-            reused,
-        });
+/// The routed view, the one serving body of both systems: one
+/// [`QueryEngine`] per shard behind the [`Layout`] routing points to them;
+/// an unsharded system and a bare engine are the 1×1 layout. Every point
+/// is routed by [`Layout::owner_of`], so an unowned point — outside the
+/// domain, or with a NaN or infinite coordinate — gets the empty answer.
+#[derive(Clone, Copy)]
+pub(crate) struct RoutedView<'v, 'a> {
+    /// One engine per shard, indexed like the layout's rectangles.
+    pub(crate) engines: &'v [QueryEngine<'a>],
+    pub(crate) layout: &'v Layout,
+    /// Per-owner query tallies: the sharded system's, or none.
+    pub(crate) loads: Option<&'v [AtomicU64]>,
+}
+
+impl<'v, 'a> RoutedView<'v, 'a> {
+    /// The view over `engines` and `layout` that tallies nothing.
+    pub(crate) fn over(engines: &'v [QueryEngine<'a>], layout: &'v Layout) -> Self {
+        Self {
+            engines,
+            layout,
+            loads: None,
+        }
     }
-    steps
+
+    /// The owner of `p` and its engine, tallying the query to the owner.
+    fn route(&self, p: Point) -> Option<(usize, &'v QueryEngine<'a>)> {
+        let s = self.layout.owner_of(p)?;
+        let engine = self.engines.get(s)?;
+        if let Some(load) = self.loads.and_then(|loads| loads.get(s)) {
+            load.fetch_add(1, Ordering::Relaxed);
+        }
+        Some((s, engine))
+    }
+
+    /// Answers a batch in query order: queries are grouped by owner, one
+    /// job per group fans out over [`shard_workers`], and each group is
+    /// answered by its shard's [`QueryEngine::pnn_batch`].
+    pub(crate) fn pnn_batch(&self, queries: &[Point]) -> Vec<PnnAnswer> {
+        let mut groups: Vec<Vec<(usize, Point)>> = vec![Vec::new(); self.engines.len()];
+        for (i, q) in queries.iter().enumerate() {
+            if let Some((s, _)) = self.route(*q) {
+                groups[s].push((i, *q));
+            }
+        }
+        let jobs: Vec<(&QueryEngine<'a>, Vec<(usize, Point)>)> = self
+            .engines
+            .iter()
+            .zip(groups)
+            .filter(|(_, group)| !group.is_empty())
+            .collect();
+        let workers = self
+            .engines
+            .first()
+            .map_or(1, |e| shard_workers(e.index.config()));
+        let results = fan_out(workers, jobs, |(), (engine, group)| {
+            let points: Vec<Point> = group.iter().map(|(_, q)| *q).collect();
+            (group, engine.pnn_batch(&points))
+        });
+        let mut answers = vec![PnnAnswer::default(); queries.len()];
+        for (group, group_answers) in results {
+            for ((i, _), answer) in group.into_iter().zip(group_answers) {
+                answers[i] = answer;
+            }
+        }
+        answers
+    }
+
+    /// The one moving-PNN walk. With [`crate::UvConfig::safe_region`]
+    /// enabled, each point routes to its owner's engine, which reuses the
+    /// previous step's stability disk while the point stays inside it and
+    /// in the same leaf; the reuse state is dropped whenever the owner
+    /// changes. Disabled, the path is answered as one batch.
+    pub(crate) fn pnn_trajectory(&self, path: &[Point]) -> Vec<TrajectoryStep> {
+        let safe_region = self
+            .engines
+            .first()
+            .is_some_and(|e| e.index.config().safe_region);
+        let answers: Vec<(PnnAnswer, bool)> = if safe_region {
+            let (mut reuse, mut current) = (None, None);
+            path.iter()
+                .map(|q| {
+                    let routed = self.route(*q);
+                    let owner = routed.map(|(s, _)| s);
+                    if owner != current {
+                        (reuse, current) = (None, owner);
+                    }
+                    routed.map_or((PnnAnswer::default(), false), |(_, engine)| {
+                        engine.pnn_step(*q, &mut reuse)
+                    })
+                })
+                .collect()
+        } else {
+            self.pnn_batch(path)
+                .into_iter()
+                .map(|a| (a, false))
+                .collect()
+        };
+        // One delta chain across every owner change.
+        let mut prev = PnnAnswer::default();
+        path.iter()
+            .zip(answers)
+            .map(|(position, (answer, reused))| {
+                let delta = AnswerDelta::between(&prev, &answer);
+                prev = answer.clone();
+                TrajectoryStep {
+                    position: *position,
+                    answer,
+                    delta,
+                    reused,
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 #[allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedUvSystem;
     use crate::system::UvSystem;
     use crate::{Method, UvConfig};
     use uv_data::{Dataset, GeneratorConfig, QueryBreakdown};
@@ -668,14 +777,74 @@ mod tests {
 
     #[test]
     fn out_of_domain_queries_return_empty_answers() {
-        let (_, system) = fixture(80);
+        let (ds, system) = fixture(80);
         let engine = QueryEngine::new(system.index(), system.object_store());
         let outside = Point::new(-50.0, 5_000.0);
         let answer = engine.pnn(outside);
         assert!(answer.probabilities.is_empty());
-        let batch = engine.pnn_batch(&[outside, Point::new(5_000.0, 5_000.0)]);
+        let inside = Point::new(5_000.0, 5_000.0);
+        let batch = engine.pnn_batch(&[outside, inside]);
         assert!(batch[0].probabilities.is_empty());
         assert!(!batch[1].probabilities.is_empty());
+
+        // A NaN or infinite coordinate on either axis has no owner: all six
+        // entry points of both serving types answer it empty, never reuse,
+        // read no page and tally no query.
+        let bad: Vec<Point> = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            .into_iter()
+            .flat_map(|v| [Point::new(v, inside.y), Point::new(inside.x, v)])
+            .collect();
+        let config = UvConfig::default().with_num_shards(2);
+        let sharded =
+            ShardedUvSystem::build(ds.objects.clone(), ds.domain, Method::IC, config).unwrap();
+        let mut stores = vec![
+            system.index().store(),
+            system.object_store().store(),
+            system.rtree().store(),
+            sharded.router().rtree.store(),
+        ];
+        for s in 0..sharded.shard_count() {
+            stores.push(sharded.shard(s).index().store());
+            stores.push(sharded.shard(s).object_store().store());
+        }
+        let reads = || stores.iter().map(|store| store.io().reads).sum::<u64>();
+        let (reads_before, loads_before) = (reads(), sharded.load_stats().queries);
+        let empty = |a: &PnnAnswer| a.probabilities.is_empty() && a.candidates_examined == 0;
+        for q in &bad {
+            assert!(empty(&system.pnn(*q)) && empty(&sharded.pnn(*q)), "{q:?}");
+        }
+        for answers in [system.pnn_batch(&bad), sharded.pnn_batch(&bad)] {
+            assert_eq!(answers.len(), bad.len());
+            assert!(answers.iter().all(empty));
+        }
+        for steps in [system.pnn_trajectory(&bad), sharded.pnn_trajectory(&bad)] {
+            assert_eq!(steps.len(), bad.len());
+            assert!(steps.iter().all(|s| empty(&s.answer) && !s.reused));
+        }
+        assert_eq!(reads(), reads_before, "a non-finite query read a page");
+        assert_eq!(sharded.load_stats().queries, loads_before);
+
+        // Inside a slow walk, a non-finite step answers empty and drops the
+        // reuse state the next step would otherwise have used.
+        let step = |k: f64| Point::new(inside.x + k * 1e-3, inside.y);
+        let plain = [step(0.0), step(1.0), step(2.0)];
+        let broken = [step(0.0), step(1.0), bad[0], step(2.0)];
+        for (plain, broken) in [
+            (
+                system.pnn_trajectory(&plain),
+                system.pnn_trajectory(&broken),
+            ),
+            (
+                sharded.pnn_trajectory(&plain),
+                sharded.pnn_trajectory(&broken),
+            ),
+        ] {
+            assert!(plain[2].reused, "the undisturbed walk reuses its disk");
+            assert!(empty(&broken[2].answer) && !broken[2].reused);
+            assert!(!broken[3].reused);
+            assert_identical(&broken[3].answer, &plain[2].answer);
+            assert_eq!(broken[3].delta.entered, plain[2].answer.answer_ids());
+        }
     }
 
     #[test]

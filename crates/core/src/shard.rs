@@ -1,137 +1,119 @@
-//! Domain-sharded serving: a [`ShardedUvSystem`] splits the domain into an
-//! `nx × ny` grid of shard rectangles and serves each rectangle from its own
+//! Domain-sharded serving: a [`ShardedUvSystem`] splits the domain into a
+//! product grid of shard rectangles and serves each rectangle from its own
 //! [`UvSystem`], while answering every query *bit-identically* to one
-//! unsharded system over the whole dataset.
-//!
-//! The ROADMAP names sharding as the next scaling axis, and the UV-partition
-//! is already domain-decomposed: a PNN query is a point lookup, so queries
-//! (and trajectory workloads, which concentrate spatially — cf. the moving
-//! PNN setting of Ali et al.) route cleanly by position, and incremental
-//! repair (Arseneva et al.'s locality argument) stays confined to the shards
-//! an update actually touches.
+//! unsharded system over the whole dataset. A PNN query is a point lookup,
+//! so queries (and trajectories, which concentrate spatially — cf. the
+//! moving PNN setting of Ali et al.) route cleanly by position, and repair
+//! (Arseneva et al.'s locality argument) stays in the shards a batch touches.
 //!
 //! # Halo replication
 //!
-//! A shard must answer any query inside its rectangle without consulting its
-//! neighbours, so it holds more than the objects *centred* in the rectangle:
-//! it holds every object whose **influence region** intersects the
-//! rectangle. The influence region is the disk `Cir(c_i, d)` with
-//! `d = (prune_radius + r_i) / 2` — the inversion of the I-pruning radius
-//! `2d − r_i` that PR 3's [`crate::UpdateSensitivity`] already maintains per
-//! object. That disk circumscribes the object's possible region (Definition
-//! 2), which in turn contains every point the object can be a PNN answer
-//! for; objects replicated into a neighbouring shard's halo are exactly the
-//! ones whose UV-cells cross the shard boundary. An object whose derivation
-//! is globally sensitive (`prune_radius = ∞`, e.g. the degenerate co-located
-//! path) is replicated everywhere.
+//! A shard answers every query inside its rectangle alone, so it holds every
+//! object whose **influence region** intersects the rectangle: the disk
+//! `Cir(c_i, d)` with `d = (prune_radius + r_i) / 2`, the inversion of the
+//! I-pruning radius `2d − r_i` that [`crate::UpdateSensitivity`] maintains
+//! per object. That disk circumscribes the object's possible region
+//! (Definition 2), which contains every point the object can answer for. An
+//! object whose derivation is globally sensitive (`prune_radius = ∞`, e.g.
+//! the degenerate co-located path) is replicated everywhere.
 //!
 //! # Why sharded answers are bit-identical
 //!
-//! A shard indexes only its halo members, so its grid differs from the
-//! unsharded grid — but it indexes them *from the router's reference
+//! A shard indexes only its halo members, but *from the router's reference
 //! table*: a member's Algorithm 5 overlap test uses exactly the reference
-//! ids and reference MBCs it has in the unsharded system (the MBCs come from
-//! the router, because a reference can lie outside the halo). A shard leaf
-//! over a region therefore holds exactly the halo members an unsharded leaf
-//! over the same region would hold. The verification step of Section V-A
-//! then makes the answer a function of the filtered candidate set, not of
-//! the grid: every possible NN of a query point is in the halo of the
-//! point's shard and passes the overlap test of every region containing the
-//! point (Algorithm 5 never prunes an object from a region where it can be
-//! a nearest neighbour), so the leaf containing the point holds all of them
-//! in either system; `d_minmax` is attained by one of them, so the surviving
-//! candidates and their qualification probabilities are the same set and
-//! the same bits. The property suite (`tests/proptest_shard.rs`) enforces
-//! this bit-exactly across {IC, ICR} × {Uniform, GaussianSkew}, before and
-//! after random update batches; a property in this module's tests checks
-//! that every maintained shard grid equals a cold grid-only build of that
-//! shard from the router's current table.
+//! ids and MBCs it has in the unsharded system (the MBCs come from the
+//! router, because a reference can lie outside the halo). So a shard leaf
+//! holds exactly the halo members an unsharded leaf over the same region
+//! would hold. Every possible NN of a query point is in the halo of the
+//! point's shard and in every region containing the point (Algorithm 5
+//! never prunes an object where it can be a nearest neighbour), and
+//! `d_minmax` is attained by one of them, so the verification of Section
+//! V-A yields the same candidates and the same probability bits. The
+//! property suite (`tests/proptest_shard.rs`) enforces this across {IC,
+//! ICR} × {Uniform, GaussianSkew} under random update batches, and this
+//! module's tests check every maintained shard grid against a cold
+//! grid-only build from the router's table.
 //!
 //! # The derivation-only router
 //!
-//! [`ShardedUvSystem`] keeps one [`DerivationRouter`] over the whole
-//! dataset — the live object set, an index-only R-tree and the per-object
-//! sensitivity table, with no UV-grid and no pages — and it is the only
-//! thing that derives, so it is the only thing that holds an R-tree: a
-//! shard's [`UvSystem::rtree`] is empty, and the R-tree baseline of
-//! Figure 6 ([`UvSystem::pnn_rtree`]) runs on an unsharded system. Its
-//! sensitivity bounds yield the halo radii, and
-//! [`DerivationRouter::apply`] is the validated, atomic global state
-//! transition (steps 1–8 of the update pipeline). Shards never derive:
-//! build, in-place domain growth and reshard rebuilds index each shard's
-//! halo members from the router's states (a grid-only build), and
-//! [`ShardedUvSystem::apply`] repairs each touched shard's grid from the
-//! router's change record restricted to the shard — replicas gained or
-//! lost, kept replicas whose geometry or overlap inputs changed — through
-//! the same localized repair the unsharded system runs. An object is
-//! re-derived once per batch however many halos replicate it
-//! ([`ShardedUpdateStats::per_shard`] reports `objects_rederived = 0`).
-//! When the router grows its domain in place ([`UpdateStats::domain_grown`])
-//! the shard *geometry* grows with it — only the outermost axis boundaries
-//! move, interior split lines stay pinned, so interior shard rectangles are
-//! bit-unchanged and the grid dimensions survive every update batch — and
-//! every shard re-indexes the grown domain from the router's re-derived
-//! table.
+//! One [`DerivationRouter`] over the whole dataset — objects, an index-only
+//! R-tree and the sensitivity table, no grid and no pages — is the only
+//! thing that derives and the only R-tree: a shard's [`UvSystem::rtree`] is
+//! empty, so the Figure 6 baseline ([`UvSystem::pnn_rtree`]) runs unsharded.
+//! [`DerivationRouter::apply`] is the validated, atomic global transition
+//! (update steps 1–8). Build, domain growth and reshard rebuilds index each
+//! shard's halo from the router's states, and [`ShardedUvSystem::apply`]
+//! repairs each touched shard from the router's change record restricted
+//! to the shard, through the grid-repair step the unsharded system runs; an
+//! object is derived once per batch however many halos hold it. When the
+//! router grows its domain in place, only the layout's outermost boundaries
+//! move: interior rectangles stay bit-unchanged, the grid dimensions survive
+//! every batch, and every shard re-indexes the grown domain.
+//!
+//! # Routing
+//!
+//! The shard grid is one crate-internal type, `Layout`: the exact split
+//! coordinates of both axes and the rectangles they span, row-major from
+//! the south-west. A point's owner ([`ShardedUvSystem::owner_of`]) takes two
+//! axis lookups under closed-edge semantics — a point on a split line
+//! belongs to the south/west shard, the `<=` tie-break of `locate_leaf` —
+//! and a point outside the domain, or with a NaN or infinite coordinate,
+//! has none. Batches, trajectories and subscriptions of both serving types
+//! run one body over a layout, the routed view of [`crate::engine`]; an
+//! unsharded [`UvSystem`] is the 1×1 layout, one shard owning the domain.
 //!
 //! # Elastic resharding
 //!
-//! The layout is elastic *between* batches: [`ShardedUvSystem::split_shard`]
-//! inserts a midpoint boundary on a hot shard's longer axis and
-//! [`ShardedUvSystem::merge_shards`] removes the boundary between two cold
-//! axis-adjacent slabs. Both keep the layout a product grid (a split divides
-//! the whole row or column; a merge fuses a whole pair), so routing stays
-//! two binary axis lookups. Only the shards whose rectangles changed are
-//! re-indexed from their halo member sets and the router's table — grid
-//! construction only, no derivation ([`ReshardStats::rebuilt`]); every
-//! other shard moves wholesale — epoch, leaf structure and safe regions
-//! intact — to its new slot ([`ReshardStats::shard_map`]). Answers are
-//! bit-identical to the unsharded oracle before, during and after a
-//! reshard, and live [`crate::SubscriptionEngine`] clients migrate with
-//! unbroken delta chains
-//! ([`crate::SubscriptionEngine::refresh_after_reshard`]).
-//!
-//! Lock-free per-shard query/update tallies ([`ShardedUvSystem::load_stats`])
-//! feed the [`ShardedUvSystem::maybe_reshard`] policy: when
-//! [`crate::UvConfig::reshard_split_load`] is set, the hottest shard at or
-//! above the threshold splits; otherwise, when
-//! [`crate::UvConfig::reshard_merge_load`] is set, the coldest adjacent slab
-//! pair at or below it merges. Tallies are *per interval*: every reshard
-//! resets them, so the thresholds meter load since the last layout change.
+//! Between batches, [`ShardedUvSystem::split_shard`] inserts a midpoint
+//! split line on a hot shard's longer axis and
+//! [`ShardedUvSystem::merge_shards`] removes the one between two cold
+//! axis-adjacent slabs: one axis-generic layout operation each, returning
+//! the new layout (still a product grid of at most 1,024 slabs per axis)
+//! and the shard map. Shards whose rectangles changed are re-indexed from
+//! the router's table ([`ReshardStats::rebuilt`]); the rest move wholesale,
+//! epoch and leaf structure intact ([`ReshardStats::shard_map`]), and live
+//! subscriptions migrate with unbroken delta chains
+//! ([`crate::SubscriptionEngine::refresh_after_reshard`]). Lock-free
+//! per-shard tallies ([`ShardedUvSystem::load_stats`]), reset by every
+//! reshard, feed the [`ShardedUvSystem::maybe_reshard`] policy: the hottest
+//! shard at or above [`crate::UvConfig::reshard_split_load`] splits,
+//! otherwise the coldest slab pair at or below
+//! [`crate::UvConfig::reshard_merge_load`] merges.
 //!
 //! # Persistence
 //!
-//! [`ShardedUvSystem::save_snapshot`] writes one versioned header
-//! ([`SHARD_MAGIC`], the [`crate::snapshot::FORMAT_VERSION`], then a META
-//! section carrying the grid dimensions `nx × ny` and the exact shard-axis
-//! boundaries — non-uniform after a reshard or domain growth, so they
-//! cannot be recomputed from the domain) followed by framed
-//! `uv_store::codec` sections: the router's slim state (config, method,
-//! domain, epoch, objects and reference table; the R-tree is rebuilt on
-//! load from the object set), then one section per shard holding only what
-//! is the shard's own — its member ids in order, its object pages and
-//! directory, its grid pages and grid state, and its construction
-//! statistics. Objects, reference states, configuration and domain are
-//! stored once, in the ROUTER section, and a loaded shard takes them from
-//! the loaded router. Loading validates every section checksum, the grid
-//! geometry and halo coverage (every member live in the router, every live
-//! object in some shard) — malformed input maps to typed [`UvError`]s,
-//! never a panic — and derives nothing.
+//! [`ShardedUvSystem::save_snapshot`] writes [`SHARD_MAGIC`] and the
+//! [`crate::snapshot::FORMAT_VERSION`], then framed `uv_store::codec`
+//! sections: META, the layout's codec (`nx`, `ny` and both axes' exact
+//! boundaries, which reshards and growth make non-uniform); the router's
+//! slim state (config, method, domain, epoch, objects and reference table;
+//! the R-tree is rebuilt on load); and one section per shard with only its
+//! own state — member ids, object pages and directory, grid pages and
+//! state, construction statistics. Loading validates every checksum, the
+//! layout (1 to 1,024 slabs per axis, strictly increasing boundaries
+//! spanning the router's domain) and halo coverage, maps malformed input to
+//! typed [`UvError`]s, never a panic, and derives nothing. Shard slots are
+//! allocated as their sections arrive, so a META section claiming a large
+//! grid reserves nothing for shards the input does not hold.
+
+#![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
 use crate::builder::{mbcs_of, Method};
 use crate::config::UvConfig;
-use crate::engine::{fan_out, trajectory_steps, QueryEngine, StepReuse, TrajectoryStep};
+use crate::engine::{fan_out, shard_workers, QueryEngine, RoutedView, TrajectoryStep};
 use crate::router::{Change, DerivationReport, DerivationRouter, NetDiff};
 use crate::snapshot::{FORMAT_VERSION, SECTION_OVERHEAD};
 use crate::system::UvSystem;
-use crate::update::{UpdateBatch, UpdateStats};
+use crate::update::{GridEdit, UpdateBatch, UpdateStats};
 use crate::UvError;
 use std::collections::{HashMap, HashSet};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use uv_data::{ObjectId, PnnAnswer, UncertainObject};
 use uv_geom::{Circle, Point, Rect};
-use uv_store::codec::{read_section, write_section, Decode, Encode};
+use uv_store::codec::{corrupt, read_section, to_bytes, write_section, Decode, Encode};
 
 /// Magic bytes every sharded snapshot starts with (the per-shard payloads
 /// inside carry the regular [`crate::snapshot::MAGIC`]).
@@ -141,6 +123,237 @@ mod tag {
     pub const META: u8 = 1;
     pub const ROUTER: u8 = 2;
     pub const SHARD: u8 = 3;
+}
+
+/// Most slabs one layout axis holds: a split past it is refused, and a
+/// META section claiming more is corrupt.
+const MAX_AXIS_SLABS: usize = 1_024;
+
+/// The product grid of shard rectangles: the exact split coordinates of the
+/// x and the y axis, each strictly increasing from the domain's low edge to
+/// its high edge, and the rectangles they span, row-major from the
+/// south-west. An unsharded system is served as the 1×1 layout, one shard
+/// owning the whole domain. See the [module docs](crate::shard).
+#[derive(Debug, Clone)]
+pub(crate) struct Layout {
+    /// Split coordinates of the x axis (`[0]`) and the y axis (`[1]`).
+    bounds: [Vec<f64>; 2],
+    /// The rectangles, built on first use: a layout decoded from a snapshot
+    /// allocates nothing per shard before the shards are read.
+    rects: OnceLock<Vec<Rect>>,
+}
+
+/// The `(low, high)` edges of `r` on the x and the y axis.
+fn edges(r: Rect) -> [(f64, f64); 2] {
+    [(r.min_x, r.max_x), (r.min_y, r.max_y)]
+}
+
+impl Layout {
+    fn new(bounds: [Vec<f64>; 2]) -> Self {
+        Self {
+            bounds,
+            rects: OnceLock::new(),
+        }
+    }
+
+    /// `side × side` equal rectangles over `domain`, with the domain edges
+    /// kept exact (no accumulated float drift at the rim).
+    pub(crate) fn uniform(domain: Rect, side: usize) -> Self {
+        Self::new(edges(domain).map(|(lo, hi)| {
+            let step = (hi - lo) / side as f64;
+            let mut bounds: Vec<f64> = (0..=side).map(|k| lo + step * k as f64).collect();
+            bounds[0] = lo;
+            bounds[side] = hi;
+            bounds
+        }))
+    }
+
+    /// Columns and rows.
+    pub(crate) fn dims(&self) -> (usize, usize) {
+        (self.bounds[0].len() - 1, self.bounds[1].len() - 1)
+    }
+
+    /// Number of shards (`nx × ny`).
+    pub(crate) fn shard_count(&self) -> usize {
+        let (nx, ny) = self.dims();
+        nx * ny
+    }
+
+    /// Column and row of shard `idx`.
+    fn cell(&self, idx: usize) -> [usize; 2] {
+        let nx = self.dims().0;
+        [idx % nx, idx / nx]
+    }
+
+    /// The rectangle the outer boundaries span: the domain.
+    fn span(&self) -> Rect {
+        let [xs, ys] = &self.bounds;
+        Rect::new(xs[0], ys[0], xs[xs.len() - 1], ys[ys.len() - 1])
+    }
+
+    /// The shard rectangles, row-major from the south-west.
+    pub(crate) fn rects(&self) -> &[Rect] {
+        self.rects.get_or_init(|| {
+            let [xs, ys] = &self.bounds;
+            ys.windows(2)
+                .flat_map(|y| {
+                    xs.windows(2)
+                        .map(move |x| Rect::new(x[0], y[0], x[1], y[1]))
+                })
+                .collect()
+        })
+    }
+
+    /// The shard owning `p` under closed-edge semantics: a point on a split
+    /// line belongs to the south/west shard, the `<=` tie-break of
+    /// `locate_leaf`. A point with a NaN or infinite coordinate (checked
+    /// first) or outside the domain has no owner.
+    pub(crate) fn owner_of(&self, p: Point) -> Option<usize> {
+        if !p.is_finite() || !self.span().contains(p) {
+            return None;
+        }
+        // A point in the rim tolerance past the last boundary belongs to the
+        // last slab.
+        let slab = |bounds: &[f64], v: f64| {
+            bounds[1..]
+                .iter()
+                .position(|b| v <= *b)
+                .unwrap_or(bounds.len() - 2)
+        };
+        Some(slab(&self.bounds[1], p.y) * self.dims().0 + slab(&self.bounds[0], p.x))
+    }
+
+    /// Domain growth: only the outermost boundaries move out to `domain`'s
+    /// edges, so interior rectangles survive bit-unchanged.
+    pub(crate) fn grow_to(&mut self, domain: Rect) {
+        for (bounds, (lo, hi)) in self.bounds.iter_mut().zip(edges(domain)) {
+            let last = bounds.len() - 1;
+            bounds[0] = bounds[0].min(lo);
+            bounds[last] = bounds[last].max(hi);
+        }
+        self.rects = OnceLock::new();
+    }
+
+    /// Inserts a midpoint split line into shard `idx` on its longer axis (x
+    /// on a tie), dividing the whole row or column. Returns the new layout
+    /// and the shard map (see [`Layout::reslab`]); the divided slab's shards
+    /// map to `None`. Out-of-range `idx`, an axis already at
+    /// [`MAX_AXIS_SLABS`] and a slab too thin to split are typed errors.
+    pub(crate) fn split(&self, idx: usize) -> Result<(Self, Vec<Option<usize>>), UvError> {
+        let Some(rect) = self.rects().get(idx) else {
+            return Err(UvError::InvalidConfig("split_shard index out of range"));
+        };
+        let axis = usize::from(rect.width() < rect.height());
+        let k = self.cell(idx)[axis];
+        let bounds = &self.bounds[axis];
+        if bounds.len() > MAX_AXIS_SLABS {
+            return Err(UvError::InvalidConfig(
+                "shard axis is already at its maximum resolution",
+            ));
+        }
+        let (lo, hi) = (bounds[k], bounds[k + 1]);
+        let mid = 0.5 * (lo + hi);
+        if !(lo < mid && mid < hi) {
+            return Err(UvError::InvalidConfig("shard slab is too thin to split"));
+        }
+        let mut split = bounds.clone();
+        split.insert(k + 1, mid);
+        Ok(self.reslab(axis, split, |c| (c != k).then(|| c + usize::from(c > k))))
+    }
+
+    /// Removes the split line between two axis-adjacent shards, fusing the
+    /// whole pair of rows or columns. Returns the new layout and the shard
+    /// map (see [`Layout::reslab`]); both fused slabs' shards map to
+    /// `None`. Out-of-range, identical or non-adjacent (e.g. diagonal)
+    /// indices are typed errors.
+    pub(crate) fn merge(&self, a: usize, b: usize) -> Result<(Self, Vec<Option<usize>>), UvError> {
+        if a.max(b) >= self.shard_count() {
+            return Err(UvError::InvalidConfig("merge_shards index out of range"));
+        }
+        let (ca, cb) = (self.cell(a), self.cell(b));
+        let adjacent =
+            |axis: usize| ca[1 - axis] == cb[1 - axis] && ca[axis].abs_diff(cb[axis]) == 1;
+        let Some(axis) = (0..2).find(|&axis| adjacent(axis)) else {
+            return Err(UvError::InvalidConfig(
+                "merge_shards requires two distinct axis-adjacent shards",
+            ));
+        };
+        let k = ca[axis].min(cb[axis]);
+        let mut merged = self.bounds[axis].clone();
+        merged.remove(k + 1);
+        Ok(self.reslab(axis, merged, |c| {
+            (c < k || c > k + 1).then(|| c - usize::from(c > k))
+        }))
+    }
+
+    /// The layout whose `axis` has the split coordinates `bounds`, and the
+    /// shard map onto it: each old shard keeps its other coordinate and
+    /// moves from slab `c` of `axis` to `slab(c)`; `None` means rebuilt.
+    fn reslab(
+        &self,
+        axis: usize,
+        bounds: Vec<f64>,
+        slab: impl Fn(usize) -> Option<usize>,
+    ) -> (Self, Vec<Option<usize>>) {
+        let mut next = self.bounds.clone();
+        next[axis] = bounds;
+        let next = Self::new(next);
+        let nx = next.dims().0;
+        let map = (0..self.shard_count())
+            .map(|old| {
+                let mut cell = self.cell(old);
+                cell[axis] = slab(cell[axis])?;
+                Some(cell[1] * nx + cell[0])
+            })
+            .collect();
+        (next, map)
+    }
+}
+
+/// The META section: `nx` and `ny` as `u64`, then the x and the y split
+/// coordinates.
+impl Encode for Layout {
+    fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+        let (nx, ny) = self.dims();
+        (nx as u64).write_to(w)?;
+        (ny as u64).write_to(w)?;
+        self.bounds[0].write_to(w)?;
+        self.bounds[1].write_to(w)
+    }
+}
+
+/// Rejects a dimension outside `1..=1,024`, a boundary count other than
+/// the dimension plus one and boundaries that are not strictly increasing.
+/// Whether the rim spans the domain is checked against the router.
+impl Decode for Layout {
+    fn read_from<R: Read + ?Sized>(r: &mut R) -> io::Result<Self> {
+        let dims = [u64::read_from(r)? as usize, u64::read_from(r)? as usize];
+        for (axis, dim) in ["x", "y"].into_iter().zip(dims) {
+            if dim == 0 || dim > MAX_AXIS_SLABS {
+                return Err(corrupt(format!(
+                    "implausible shard grid {axis}-dimension {dim}"
+                )));
+            }
+        }
+        let bounds = [Vec::<f64>::read_from(r)?, Vec::<f64>::read_from(r)?];
+        for (axis, dim) in bounds.iter().zip(dims) {
+            if axis.len() != dim + 1 {
+                return Err(corrupt(format!(
+                    "expected {} axis boundaries for grid dimension {dim}, found {}",
+                    dim + 1,
+                    axis.len()
+                )));
+            }
+            // `partial_cmp != Less` also rejects NaN boundaries (incomparable).
+            if axis
+                .windows(2)
+                .any(|w| w[0].partial_cmp(&w[1]) != Some(std::cmp::Ordering::Less))
+            {
+                return Err(corrupt("shard axis boundaries are not strictly increasing"));
+            }
+        }
+        Ok(Self::new(bounds))
+    }
 }
 
 /// Statistics of one update batch applied through the sharded system: the
@@ -184,7 +397,8 @@ pub struct ShardedUpdateStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardLoadStats {
     /// PNN queries (single, batched and trajectory steps) routed to each
-    /// shard as its owner. Out-of-domain queries are counted nowhere.
+    /// shard as its owner. Unowned queries (outside the domain, or with a
+    /// non-finite coordinate) are counted nowhere.
     pub queries: Vec<u64>,
     /// Update batches that repaired each shard's grid (net no-ops and
     /// untouched shards count zero).
@@ -208,10 +422,10 @@ pub struct ReshardStats {
     pub rebuilt: Vec<usize>,
 }
 
-/// A domain-sharded UV-diagram serving deployment: an `nx × ny` grid of
-/// shard rectangles, each served by its own [`UvSystem`] over the objects
-/// whose influence region intersects the rectangle (halo replication), plus
-/// a slim [`DerivationRouter`] as the derivation authority. See the [module
+/// A domain-sharded UV-diagram serving deployment: a product grid of shard
+/// rectangles, each served by its own [`UvSystem`] over the objects whose
+/// influence region intersects the rectangle (halo replication), plus a
+/// slim [`DerivationRouter`] as the derivation authority. See the [module
 /// docs](crate::shard) for the correctness contract.
 ///
 /// ```
@@ -234,16 +448,9 @@ pub struct ShardedUvSystem {
     /// The derivation-only routing authority: objects, domain, index-only
     /// R-tree and the sensitivity table — no grid, no pages.
     router: DerivationRouter,
-    /// Grid width (columns) and height (rows). Uniform `num_shards ×
-    /// num_shards` at build; elastic resharding makes them diverge.
-    nx: usize,
-    ny: usize,
-    /// The `nx × ny` shard rectangles, row-major from the south-west.
-    rects: Vec<Rect>,
-    /// Cached split coordinates of the two axes (the exact values the
-    /// rectangles were built from), so per-query routing allocates nothing.
-    bounds_x: Vec<f64>,
-    bounds_y: Vec<f64>,
+    /// The shard grid: uniform `num_shards × num_shards` at build, elastic
+    /// after.
+    pub(crate) layout: Layout,
     /// One serving system per rectangle, over its halo member set.
     shards: Vec<UvSystem>,
     /// Lock-free per-shard tallies since the last reshard: queries routed
@@ -266,56 +473,6 @@ fn influence_radius(o: &UncertainObject, router: &DerivationRouter) -> Option<f6
     // region contains the uncertainty region itself, so d ≥ r_i — the max
     // guards the (unreachable) clamped case.
     Some((0.5 * (prune_radius + o.radius())).max(o.radius()))
-}
-
-/// The split coordinates of one axis: `side + 1` monotone boundaries with
-/// the domain edges kept exact (no accumulated float drift at the rim).
-fn axis_bounds(lo: f64, hi: f64, side: usize) -> Vec<f64> {
-    let step = (hi - lo) / side as f64;
-    let mut bounds: Vec<f64> = (0..=side).map(|k| lo + step * k as f64).collect();
-    bounds[0] = lo;
-    bounds[side] = hi;
-    bounds
-}
-
-/// Index of the axis interval containing `v` under closed-edge semantics: a
-/// value exactly on an interior boundary belongs to the lower (south/west)
-/// interval — the same `<=` tie-break [`crate::UvIndex`]'s `locate_leaf`
-/// uses on its split lines, and consistent with [`Rect::contains`] treating
-/// boundaries as inside.
-fn axis_index(bounds: &[f64], v: f64) -> usize {
-    let side = bounds.len() - 1;
-    for k in 0..side {
-        if v <= bounds[k + 1] {
-            return k;
-        }
-    }
-    side - 1
-}
-
-/// The shard rectangles spanned by two (possibly non-uniform, possibly
-/// different-length) axis boundary vectors, row-major from the south-west,
-/// sharing exact boundary coordinates with [`axis_index`].
-fn rects_from_bounds(xs: &[f64], ys: &[f64]) -> Vec<Rect> {
-    let nx = xs.len() - 1;
-    let ny = ys.len() - 1;
-    let mut rects = Vec::with_capacity(nx * ny);
-    for iy in 0..ny {
-        for ix in 0..nx {
-            rects.push(Rect::new(xs[ix], ys[iy], xs[ix + 1], ys[iy + 1]));
-        }
-    }
-    rects
-}
-
-/// Domain growth on one shard axis: only the two outermost boundaries move
-/// out to the grown domain edge. Interior split lines stay pinned, so every
-/// interior shard rectangle survives bit-unchanged and only the border ring
-/// absorbs the new territory.
-fn extend_axis_bounds(bounds: &mut [f64], lo: f64, hi: f64) {
-    bounds[0] = bounds[0].min(lo);
-    let last = bounds.len() - 1;
-    bounds[last] = bounds[last].max(hi);
 }
 
 /// Fresh (zeroed) lock-free tallies for `n` shards.
@@ -346,17 +503,6 @@ fn shard_members(router: &DerivationRouter, rects: &[Rect]) -> Vec<Vec<Uncertain
         }
     }
     members
-}
-
-/// Pool workers of a per-shard fan-out: a thread per job when
-/// `config.parallel`, the calling thread otherwise. Shard builds, batched
-/// query routing, update reconciliation and reshard rebuilds all use it.
-fn shard_workers(config: &UvConfig) -> usize {
-    if config.parallel {
-        usize::MAX
-    } else {
-        1
-    }
 }
 
 /// Indexes one shard system per member set from `router`'s table — grid
@@ -467,10 +613,10 @@ fn shard_deltas<'r>(
     (deltas, live)
 }
 
-/// Applies one shard's share of a routed batch: replica set, object store
-/// and router states first, then the grid — a localized repair, or a full
-/// grid-only re-index when the router grew the domain (`regrown`). Nothing
-/// here derives, so nothing here packs an R-tree.
+/// Applies one shard's share of a routed batch: replica set, object store,
+/// router states and domain first, then — when the domain grew or the
+/// delta touches the grid — the grid-repair step the unsharded apply runs.
+/// Nothing here derives, so nothing here packs an R-tree.
 fn reconcile_shard(
     shard: &mut UvSystem,
     delta: ShardDelta,
@@ -504,23 +650,17 @@ fn reconcile_shard(
     for id in delta.added.iter().chain(&delta.refreshed) {
         table.ref_table.insert(*id, router.ref_table[id].clone());
     }
-    if regrown {
-        table.domain = router.domain;
-        shard.reindex_grid(mbcs, &DerivationReport::default());
-        stats.leaves_refined = shard.index.num_leaf_nodes();
-        stats.total_leaves = shard.index.num_leaf_nodes();
-        stats.epoch = shard.index.epoch;
-        stats.repaired_rects = vec![router.domain];
-    } else if !delta.is_empty() {
-        let entry_dirty: HashSet<ObjectId> = delta.moved.iter().copied().collect();
-        shard.repair_grid(
-            mbcs,
-            &delta.added,
-            &delta.removed,
-            &delta.dirty,
-            &entry_dirty,
-            &mut stats,
-        );
+    table.domain = router.domain;
+    if regrown || !delta.is_empty() {
+        let report = DerivationReport::default(); // a shard derives nothing
+        let edit = GridEdit {
+            regrown: regrown.then_some(&report),
+            added: &delta.added,
+            removed: &delta.removed,
+            dirty: &delta.dirty,
+            entry_dirty: &delta.moved,
+        };
+        shard.repair_grid(mbcs, edit, &mut stats);
     }
     shard.router.epoch = shard.index.epoch;
     stats
@@ -540,21 +680,14 @@ impl ShardedUvSystem {
         config: UvConfig,
     ) -> Result<Self, UvError> {
         let router = DerivationRouter::build(objects, domain, method, config)?;
-        let side = config.num_shards;
-        let bounds_x = axis_bounds(domain.min_x, domain.max_x, side);
-        let bounds_y = axis_bounds(domain.min_y, domain.max_y, side);
-        let rects = rects_from_bounds(&bounds_x, &bounds_y);
+        let layout = Layout::uniform(domain, config.num_shards);
         let mbcs = mbcs_of(&router.objects);
-        let shards = build_shard_systems(shard_members(&router, &rects), &router, &mbcs);
+        let shards = build_shard_systems(shard_members(&router, layout.rects()), &router, &mbcs);
         Ok(Self {
             router,
-            nx: side,
-            ny: side,
-            query_loads: zero_loads(rects.len()),
-            update_loads: zero_loads(rects.len()),
-            rects,
-            bounds_x,
-            bounds_y,
+            query_loads: zero_loads(shards.len()),
+            update_loads: zero_loads(shards.len()),
+            layout,
             shards,
         })
     }
@@ -563,7 +696,7 @@ impl ShardedUvSystem {
     /// Equal at build (`num_shards` each); elastic resharding makes them
     /// diverge.
     pub fn grid_dims(&self) -> (usize, usize) {
-        (self.nx, self.ny)
+        self.layout.dims()
     }
 
     /// Total number of shards (`nx × ny`).
@@ -573,7 +706,7 @@ impl ShardedUvSystem {
 
     /// The shard rectangles, row-major from the south-west.
     pub fn shard_rects(&self) -> &[Rect] {
-        &self.rects
+        self.layout.rects()
     }
 
     /// The serving system of shard `idx`. A shard never derives, so it
@@ -641,35 +774,38 @@ impl ShardedUvSystem {
     /// The shard owning query point `q` under closed-edge semantics (a point
     /// exactly on a shard split line belongs to the south/west shard, the
     /// same tie-break the grid's `locate_leaf` uses), or `None` when `q`
-    /// lies outside the domain.
+    /// lies outside the domain or has a NaN or infinite coordinate.
     pub fn owner_of(&self, q: Point) -> Option<usize> {
-        if !self.domain().contains(q) {
-            return None;
-        }
-        Some(axis_index(&self.bounds_y, q.y) * self.nx + axis_index(&self.bounds_x, q.x))
+        self.layout.owner_of(q)
     }
 
     /// The per-shard query/update tallies since the last reshard (or build
     /// / snapshot load). Lock-free reads of the live counters.
     pub fn load_stats(&self) -> ShardLoadStats {
+        let read = |loads: &[AtomicU64]| loads.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         ShardLoadStats {
-            queries: self
-                .query_loads
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            updates: self
-                .update_loads
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+            queries: read(&self.query_loads),
+            updates: read(&self.update_loads),
         }
     }
 
-    /// Answers a PNN query through the owning shard — bit-identical
-    /// (probabilities, candidate counts) to the unsharded [`UvSystem::pnn`].
+    /// Runs `f` on the routed view: a fresh engine per shard, the layout,
+    /// and the query tallies.
+    fn routed<R>(&self, f: impl FnOnce(RoutedView<'_, '_>) -> R) -> R {
+        let engines: Vec<QueryEngine<'_>> = self.shards.iter().map(UvSystem::engine).collect();
+        f(RoutedView {
+            engines: &engines,
+            layout: &self.layout,
+            loads: Some(&self.query_loads),
+        })
+    }
+
+    /// Answers a PNN query through the owning shard's scalar
+    /// [`UvSystem::pnn`], bit-identical to the unsharded one. An unowned
+    /// point (see [`ShardedUvSystem::owner_of`]) gets the empty answer and
+    /// is tallied nowhere.
     pub fn pnn(&self, q: Point) -> PnnAnswer {
-        match self.owner_of(q) {
+        match self.layout.owner_of(q) {
             Some(s) => {
                 self.query_loads[s].fetch_add(1, Ordering::Relaxed);
                 self.shards[s].pnn(q)
@@ -678,115 +814,55 @@ impl ShardedUvSystem {
         }
     }
 
-    /// Answers a batch of PNN queries: queries are grouped per owning shard
-    /// and fanned out through each involved shard's [`crate::QueryEngine`] —
-    /// on scoped threads when `config.parallel` (the same switch the shard
-    /// builds and update reconciliation honour), sequentially otherwise.
-    /// Answers come back in query order, bit-identical to the unsharded
-    /// [`UvSystem::pnn_batch`]. Out-of-domain points get the empty answer,
-    /// exactly as unsharded.
+    /// Answers a batch of PNN queries through the routed view: grouped by
+    /// owning shard, one thread per group when `config.parallel` and
+    /// `query_workers` inside a shard. Answers come back in query order,
+    /// bit-identical to the unsharded [`UvSystem::pnn_batch`]; an unowned
+    /// point gets the empty answer and is tallied nowhere.
     pub fn pnn_batch(&self, queries: &[Point]) -> Vec<PnnAnswer> {
-        let mut groups: Vec<Vec<(usize, Point)>> = vec![Vec::new(); self.shards.len()];
-        let mut answers: Vec<PnnAnswer> = vec![PnnAnswer::default(); queries.len()];
-        for (i, q) in queries.iter().enumerate() {
-            if let Some(s) = self.owner_of(*q) {
-                self.query_loads[s].fetch_add(1, Ordering::Relaxed);
-                groups[s].push((i, *q));
-            }
-        }
-        let jobs: Vec<(usize, Vec<(usize, Point)>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, group)| !group.is_empty())
-            .collect();
-        let results = fan_out(shard_workers(self.config()), jobs, |(), (s, group)| {
-            let points: Vec<Point> = group.iter().map(|(_, q)| *q).collect();
-            (group, self.shards[s].pnn_batch(&points))
-        });
-        for (group, shard_answers) in results {
-            for ((i, _), answer) in group.into_iter().zip(shard_answers) {
-                answers[i] = answer;
-            }
-        }
-        answers
+        self.routed(|view| view.pnn_batch(queries))
     }
 
-    /// Answers a moving-PNN trajectory. Every path point routes to its
-    /// owning shard — the query re-routes at each shard-boundary crossing —
-    /// while the per-step answer deltas chain across the whole path, so the
-    /// steps equal the unsharded [`UvSystem::pnn_trajectory`] bit-exactly.
-    ///
-    /// With [`UvConfig::safe_region`] enabled (the default) the walk carries
-    /// the same per-step stability disk as the unsharded engine, scoped to
-    /// the current owning shard: consecutive points inside the disk reuse
-    /// the cached candidate set ([`TrajectoryStep::reused`]); a
-    /// shard-boundary crossing drops the disk and re-derives on the
-    /// destination shard. Answers are bit-identical either way.
+    /// Answers a moving-PNN trajectory through the routed view's walk: each
+    /// point routes to its owning shard while the answer deltas chain
+    /// across the whole path, so answers and deltas equal the unsharded
+    /// [`UvSystem::pnn_trajectory`] bit-exactly. With
+    /// [`UvConfig::safe_region`] the walk reuses the cached candidate set
+    /// inside the stability disk ([`TrajectoryStep::reused`]) and drops the
+    /// disk whenever the owner changes. An unowned point gets the empty
+    /// answer, is never reused and is tallied nowhere.
     pub fn pnn_trajectory(&self, path: &[Point]) -> Vec<TrajectoryStep> {
-        if !self.config().safe_region {
-            let answers = self.pnn_batch(path).into_iter().map(|a| (a, false));
-            return trajectory_steps(path, answers.collect());
-        }
-        let engines: Vec<QueryEngine<'_>> = self
-            .shards
-            .iter()
-            .map(|s| QueryEngine::new(s.index(), s.object_store()))
-            .collect();
-        let mut reuse: Option<StepReuse> = None;
-        let mut current: Option<usize> = None;
-        let mut answers = Vec::with_capacity(path.len());
-        for q in path {
-            let owner = self.owner_of(*q);
-            if owner != current {
-                reuse = None;
-                current = owner;
-            }
-            answers.push(match owner {
-                Some(s) => {
-                    self.query_loads[s].fetch_add(1, Ordering::Relaxed);
-                    engines[s].pnn_step(*q, &mut reuse)
-                }
-                None => {
-                    reuse = None;
-                    (PnnAnswer::default(), false)
-                }
-            });
-        }
-        trajectory_steps(path, answers)
+        self.routed(|view| view.pnn_trajectory(path))
     }
 
     /// Applies an update batch atomically: the router validates it and
     /// runs the derivation pipeline globally (nothing is mutated on error),
     /// then every shard whose halo members the change touches repairs its
     /// grid from the router's change record — no shard derives. When the
-    /// batch grew the router's domain in place, the shard geometry grows
-    /// with it first — only the outer ring of rectangles changes, every
-    /// shard re-indexes the grown domain from the router's table, and the
-    /// layout is never rebuilt (the grid dimensions and interior split lines
-    /// stay as they are).
+    /// batch grew the router's domain in place, the layout grows with it
+    /// first — only the outer ring of rectangles changes, every shard
+    /// re-indexes the grown domain from the router's table, and the layout
+    /// is never rebuilt (the grid dimensions and interior split lines stay
+    /// as they are).
     pub fn apply(&mut self, batch: UpdateBatch) -> Result<ShardedUpdateStats, UvError> {
         let change = self.router.apply_change(batch)?;
+        let regrown = change.regrown.is_some();
         let mut stats = ShardedUpdateStats {
             router: change.stats.clone(),
             per_shard: vec![UpdateStats::default(); self.shards.len()],
+            domain_grown: regrown,
             ..ShardedUpdateStats::default()
         };
         if change.is_noop() {
             return Ok(stats); // net no-op: shards keep their epochs
         }
-        let regrown = change.regrown.is_some();
         if regrown {
-            // In-place geometry growth: pin the interior split lines and move
-            // only the outermost boundaries to the grown domain edges. The
-            // grown domain is a pure function the router already computed,
-            // so router, shards and rectangles agree without coordination.
-            let domain = self.router.domain();
-            extend_axis_bounds(&mut self.bounds_x, domain.min_x, domain.max_x);
-            extend_axis_bounds(&mut self.bounds_y, domain.min_y, domain.max_y);
-            self.rects = rects_from_bounds(&self.bounds_x, &self.bounds_y);
-            stats.domain_grown = true;
+            // The grown domain is a pure function the router already
+            // computed, so router, shards and layout agree without
+            // coordination.
+            self.layout.grow_to(self.router.domain());
         }
-        let (deltas, live) = shard_deltas(&self.router, &self.shards, &self.rects, &change);
+        let (deltas, live) = shard_deltas(&self.router, &self.shards, self.layout.rects(), &change);
         for delta in &deltas {
             stats.replicas_added += delta.added.len();
             stats.replicas_removed += delta.removed.len();
@@ -853,66 +929,11 @@ impl ShardedUvSystem {
     /// (epoch and leaf structure intact — see [`ReshardStats::shard_map`]).
     /// Answers stay bit-identical to the unsharded oracle; tallies reset.
     /// Out-of-range `idx`, a slab too thin to split and an axis already at
-    /// its maximum resolution (1024) are typed errors that leave the
+    /// its maximum resolution (1,024 slabs) are typed errors that leave the
     /// deployment untouched.
     pub fn split_shard(&mut self, idx: usize) -> Result<ReshardStats, UvError> {
-        if idx >= self.shards.len() {
-            return Err(UvError::InvalidConfig("split_shard index out of range"));
-        }
-        let (ix, iy) = (idx % self.nx, idx / self.nx);
-        let rect = self.rects[idx];
-        let nx = self.nx;
-        if rect.width() >= rect.height() {
-            if nx + 1 > 1_024 {
-                return Err(UvError::InvalidConfig(
-                    "shard x-axis is already at its maximum resolution",
-                ));
-            }
-            let (lo, hi) = (self.bounds_x[ix], self.bounds_x[ix + 1]);
-            let mid = 0.5 * (lo + hi);
-            if !(lo < mid && mid < hi) {
-                return Err(UvError::InvalidConfig("shard slab is too thin to split"));
-            }
-            let mut xs = self.bounds_x.clone();
-            xs.insert(ix + 1, mid);
-            let shard_map: Vec<Option<usize>> = (0..self.shards.len())
-                .map(|old| {
-                    let (ox, oy) = (old % nx, old / nx);
-                    if ox == ix {
-                        None // the split column is rebuilt in both halves
-                    } else {
-                        Some(oy * (nx + 1) + if ox < ix { ox } else { ox + 1 })
-                    }
-                })
-                .collect();
-            let ys = self.bounds_y.clone();
-            self.reshard_to(xs, ys, shard_map)
-        } else {
-            if self.ny + 1 > 1_024 {
-                return Err(UvError::InvalidConfig(
-                    "shard y-axis is already at its maximum resolution",
-                ));
-            }
-            let (lo, hi) = (self.bounds_y[iy], self.bounds_y[iy + 1]);
-            let mid = 0.5 * (lo + hi);
-            if !(lo < mid && mid < hi) {
-                return Err(UvError::InvalidConfig("shard slab is too thin to split"));
-            }
-            let mut ys = self.bounds_y.clone();
-            ys.insert(iy + 1, mid);
-            let shard_map: Vec<Option<usize>> = (0..self.shards.len())
-                .map(|old| {
-                    let (ox, oy) = (old % nx, old / nx);
-                    if oy == iy {
-                        None // the split row is rebuilt in both halves
-                    } else {
-                        Some((if oy < iy { oy } else { oy + 1 }) * nx + ox)
-                    }
-                })
-                .collect();
-            let xs = self.bounds_x.clone();
-            self.reshard_to(xs, ys, shard_map)
-        }
+        let next = self.layout.split(idx)?;
+        Ok(self.reshard_to(next))
     }
 
     /// Merges two axis-adjacent shards by removing the boundary between
@@ -923,54 +944,8 @@ impl ShardedUvSystem {
     /// Out-of-range, identical or non-adjacent (e.g. diagonal) indices are
     /// typed errors that leave the deployment untouched.
     pub fn merge_shards(&mut self, a: usize, b: usize) -> Result<ReshardStats, UvError> {
-        if a >= self.shards.len() || b >= self.shards.len() {
-            return Err(UvError::InvalidConfig("merge_shards index out of range"));
-        }
-        if a == b {
-            return Err(UvError::InvalidConfig(
-                "merge_shards requires two distinct shards",
-            ));
-        }
-        let nx = self.nx;
-        let (ax, ay) = (a % nx, a / nx);
-        let (bx, by) = (b % nx, b / nx);
-        if ay == by && ax.abs_diff(bx) == 1 {
-            let c = ax.min(bx); // fuse columns c and c+1
-            let mut xs = self.bounds_x.clone();
-            xs.remove(c + 1);
-            let shard_map: Vec<Option<usize>> = (0..self.shards.len())
-                .map(|old| {
-                    let (ox, oy) = (old % nx, old / nx);
-                    if ox == c || ox == c + 1 {
-                        None // every fused shard is rebuilt
-                    } else {
-                        Some(oy * (nx - 1) + if ox < c { ox } else { ox - 1 })
-                    }
-                })
-                .collect();
-            let ys = self.bounds_y.clone();
-            self.reshard_to(xs, ys, shard_map)
-        } else if ax == bx && ay.abs_diff(by) == 1 {
-            let r = ay.min(by); // fuse rows r and r+1
-            let mut ys = self.bounds_y.clone();
-            ys.remove(r + 1);
-            let shard_map: Vec<Option<usize>> = (0..self.shards.len())
-                .map(|old| {
-                    let (ox, oy) = (old % nx, old / nx);
-                    if oy == r || oy == r + 1 {
-                        None
-                    } else {
-                        Some((if oy < r { oy } else { oy - 1 }) * nx + ox)
-                    }
-                })
-                .collect();
-            let xs = self.bounds_x.clone();
-            self.reshard_to(xs, ys, shard_map)
-        } else {
-            Err(UvError::InvalidConfig(
-                "merge_shards requires two axis-adjacent shards",
-            ))
-        }
+        let next = self.layout.merge(a, b)?;
+        Ok(self.reshard_to(next))
     }
 
     /// The elastic policy: consults the per-shard tallies against the
@@ -1011,21 +986,22 @@ impl ShardedUvSystem {
             }
         }
         if merge_at > 0 {
-            let col_load = |c: usize| (0..self.ny).map(|r| combined[r * self.nx + c]).sum::<u64>();
-            let row_load = |r: usize| (0..self.nx).map(|c| combined[r * self.nx + c]).sum::<u64>();
+            let (nx, ny) = self.layout.dims();
+            let col_load = |c: usize| (0..ny).map(|r| combined[r * nx + c]).sum::<u64>();
+            let row_load = |r: usize| (0..nx).map(|c| combined[r * nx + c]).sum::<u64>();
             // The coldest fusable pair across both axes; representatives are
             // any two axis-adjacent members, first-found wins ties.
             let mut best: Option<(u64, usize, usize)> = None;
-            for c in 0..self.nx.saturating_sub(1) {
+            for c in 0..nx.saturating_sub(1) {
                 let load = col_load(c) + col_load(c + 1);
                 if best.is_none_or(|(bl, _, _)| load < bl) {
                     best = Some((load, c, c + 1));
                 }
             }
-            for r in 0..self.ny.saturating_sub(1) {
+            for r in 0..ny.saturating_sub(1) {
                 let load = row_load(r) + row_load(r + 1);
                 if best.is_none_or(|(bl, _, _)| load < bl) {
-                    best = Some((load, r * self.nx, (r + 1) * self.nx));
+                    best = Some((load, r * nx, (r + 1) * nx));
                 }
             }
             if let Some((load, a, b)) = best {
@@ -1037,99 +1013,68 @@ impl ShardedUvSystem {
         Ok(None)
     }
 
-    /// Commits a new product-grid layout. `shard_map[old]` names the new
-    /// slot of each current shard whose rectangle is unchanged (it moves
-    /// wholesale — membership is a function of the rectangle, so its member
-    /// set, epoch and leaf structure stay valid); unmapped slots are
-    /// re-indexed from their halo member sets and the router's table.
-    /// Replacement shards are built *before* any live state mutates. Tallies
-    /// reset to zero.
-    fn reshard_to(
-        &mut self,
-        bounds_x: Vec<f64>,
-        bounds_y: Vec<f64>,
-        shard_map: Vec<Option<usize>>,
-    ) -> Result<ReshardStats, UvError> {
-        let nx = bounds_x.len() - 1;
-        let ny = bounds_y.len() - 1;
-        let rects = rects_from_bounds(&bounds_x, &bounds_y);
-        let mut claimed = vec![false; nx * ny];
-        for target in shard_map.iter().flatten() {
-            debug_assert!(!claimed[*target], "two old shards map to one new slot");
-            claimed[*target] = true;
+    /// Commits a new layout with its shard map: `shard_map[old]` names the
+    /// new slot of each shard whose rectangle is unchanged (it moves
+    /// wholesale: membership is a function of the rectangle); every slot no
+    /// shard claims is re-indexed from its halo and the router's table,
+    /// before any live state mutates. Tallies reset to zero.
+    fn reshard_to(&mut self, (layout, shard_map): (Layout, Vec<Option<usize>>)) -> ReshardStats {
+        let n = layout.shard_count();
+        let mut claimed = vec![false; n];
+        for slot in shard_map.iter().flatten() {
+            claimed[*slot] = true;
         }
-        let rebuilt: Vec<usize> = (0..nx * ny).filter(|s| !claimed[*s]).collect();
-
-        let mut members = shard_members(&self.router, &rects);
+        let rebuilt: Vec<usize> = (0..n).filter(|s| !claimed[*s]).collect();
+        let mut members = shard_members(&self.router, layout.rects());
         let member_sets: Vec<Vec<UncertainObject>> = rebuilt
             .iter()
             .map(|&s| std::mem::take(&mut members[s]))
             .collect();
         let mbcs = mbcs_of(&self.router.objects);
-        let fresh =
-            rebuilt
-                .iter()
-                .copied()
-                .zip(build_shard_systems(member_sets, &self.router, &mbcs));
+        let fresh = build_shard_systems(member_sets, &self.router, &mbcs);
 
-        // Commit: nothing below can fail.
-        let old = std::mem::take(&mut self.shards);
-        let mut slots: Vec<Option<UvSystem>> = (0..nx * ny).map(|_| None).collect();
-        for (old_idx, shard) in old.into_iter().enumerate() {
-            if let Some(target) = shard_map[old_idx] {
-                slots[target] = Some(shard);
-            }
-        }
-        for (s, shard) in fresh {
-            slots[s] = Some(shard);
-        }
-        self.shards = slots
+        // Commit: every slot is either claimed by one moved shard or
+        // rebuilt, so the shards sorted by slot fill the new layout.
+        let mut slots: Vec<(usize, UvSystem)> = std::mem::take(&mut self.shards)
             .into_iter()
-            .map(|s| s.expect("every new slot is mapped or rebuilt"))
+            .zip(&shard_map)
+            .filter_map(|(shard, slot)| slot.map(|s| (s, shard)))
+            .chain(rebuilt.iter().copied().zip(fresh))
             .collect();
-        self.nx = nx;
-        self.ny = ny;
-        self.rects = rects;
-        self.bounds_x = bounds_x;
-        self.bounds_y = bounds_y;
-        self.query_loads = zero_loads(nx * ny);
-        self.update_loads = zero_loads(nx * ny);
-        Ok(ReshardStats {
+        slots.sort_unstable_by_key(|(s, _)| *s);
+        self.shards = slots.into_iter().map(|(_, shard)| shard).collect();
+        self.query_loads = zero_loads(n);
+        self.update_loads = zero_loads(n);
+        let (nx, ny) = layout.dims();
+        self.layout = layout;
+        ReshardStats {
             shard_map,
             nx,
             ny,
             rebuilt,
-        })
+        }
     }
 
-    /// Serialises the whole sharded deployment — the router's slim state
-    /// and every shard — under one versioned header; returns the bytes
-    /// written. See the [module docs](crate::shard) for the layout.
+    /// Serialises the whole sharded deployment — the layout, the router's
+    /// slim state and every shard — under one versioned header; returns
+    /// the bytes written. See the [module docs](crate::shard) for the
+    /// layout.
     pub fn save_snapshot<W: Write>(&self, w: &mut W) -> Result<u64, UvError> {
         w.write_all(&SHARD_MAGIC)?;
         FORMAT_VERSION.write_to(w)?;
         let mut written: u64 = SHARD_MAGIC.len() as u64 + 4;
-
-        let mut meta = Vec::new();
-        (self.nx as u64).write_to(&mut meta)?;
-        (self.ny as u64).write_to(&mut meta)?;
-        // The exact axis boundaries: non-uniform after a reshard or domain
-        // growth, so a loader cannot recompute them from the domain alone.
-        self.bounds_x.write_to(&mut meta)?;
-        self.bounds_y.write_to(&mut meta)?;
-        write_section(w, tag::META, &meta)?;
-        written += SECTION_OVERHEAD + meta.len() as u64;
-
+        let emit = |w: &mut W, tag: u8, payload: Vec<u8>| -> io::Result<u64> {
+            write_section(w, tag, &payload)?;
+            Ok(SECTION_OVERHEAD + payload.len() as u64)
+        };
+        written += emit(w, tag::META, to_bytes(&self.layout))?;
         let mut router_payload = Vec::new();
         self.router.write_state(&mut router_payload)?;
-        write_section(w, tag::ROUTER, &router_payload)?;
-        written += SECTION_OVERHEAD + router_payload.len() as u64;
-
+        written += emit(w, tag::ROUTER, router_payload)?;
         for shard in &self.shards {
             let mut payload = Vec::new();
             shard.write_shard_state(&mut payload)?;
-            write_section(w, tag::SHARD, &payload)?;
-            written += SECTION_OVERHEAD + payload.len() as u64;
+            written += emit(w, tag::SHARD, payload)?;
         }
         w.flush()?;
         Ok(written)
@@ -1144,11 +1089,12 @@ impl ShardedUvSystem {
     }
 
     /// Loads a sharded snapshot written by
-    /// [`ShardedUvSystem::save_snapshot`]: every section checksum, the grid
-    /// geometry and halo coverage are validated, and every shard takes its
+    /// [`ShardedUvSystem::save_snapshot`]: every section checksum, the
+    /// layout and halo coverage are validated, and every shard takes its
     /// members' objects and states, the configuration and the domain from
     /// the loaded router; malformed input is a typed [`UvError`], never a
-    /// panic. Load tallies start at zero.
+    /// panic. Shard slots are allocated as their sections arrive. Load
+    /// tallies start at zero.
     pub fn load_snapshot<R: Read>(r: &mut R) -> Result<Self, UvError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -1164,37 +1110,7 @@ impl ShardedUvSystem {
                 supported: FORMAT_VERSION,
             });
         }
-        let meta = read_section(r, tag::META)?;
-        let mut meta_slice = meta.as_slice();
-        let nx = u64::read_from(&mut meta_slice)? as usize;
-        let ny = u64::read_from(&mut meta_slice)? as usize;
-        for (axis, dim) in [("x", nx), ("y", ny)] {
-            if dim == 0 || dim > 1_024 {
-                return Err(UvError::SnapshotCorrupt(format!(
-                    "implausible shard grid {axis}-dimension {dim}"
-                )));
-            }
-        }
-        let bounds_x = Vec::<f64>::read_from(&mut meta_slice)?;
-        let bounds_y = Vec::<f64>::read_from(&mut meta_slice)?;
-        for (bounds, dim) in [(&bounds_x, nx), (&bounds_y, ny)] {
-            if bounds.len() != dim + 1 {
-                return Err(UvError::SnapshotCorrupt(format!(
-                    "expected {} axis boundaries for grid dimension {dim}, found {}",
-                    dim + 1,
-                    bounds.len()
-                )));
-            }
-            // `partial_cmp != Less` also rejects NaN boundaries (incomparable).
-            if bounds
-                .windows(2)
-                .any(|w| w[0].partial_cmp(&w[1]) != Some(std::cmp::Ordering::Less))
-            {
-                return Err(UvError::SnapshotCorrupt(
-                    "shard axis boundaries are not strictly increasing".into(),
-                ));
-            }
-        }
+        let layout = Layout::read_from(&mut read_section(r, tag::META)?.as_slice())?;
 
         let router_payload = read_section(r, tag::ROUTER)?;
         let mut router_slice = router_payload.as_slice();
@@ -1204,12 +1120,7 @@ impl ShardedUvSystem {
                 "trailing bytes after the router state".into(),
             ));
         }
-        let domain = router.domain();
-        if bounds_x[0] != domain.min_x
-            || bounds_x[nx] != domain.max_x
-            || bounds_y[0] != domain.min_y
-            || bounds_y[ny] != domain.max_y
-        {
+        if layout.span() != router.domain() {
             return Err(UvError::SnapshotCorrupt(
                 "shard axis boundaries do not span the router's domain".into(),
             ));
@@ -1221,8 +1132,8 @@ impl ShardedUvSystem {
         let live: HashMap<ObjectId, &UncertainObject> =
             router.objects().iter().map(|o| (o.id, o)).collect();
         let mut covered: HashSet<ObjectId> = HashSet::with_capacity(live.len());
-        let mut shards = Vec::with_capacity(nx * ny);
-        for _ in 0..nx * ny {
+        let mut shards = Vec::new();
+        for _ in 0..layout.shard_count() {
             let payload = read_section(r, tag::SHARD)?;
             let mut payload = payload.as_slice();
             let shard = UvSystem::read_shard_state(&router, &live, &mut payload)?;
@@ -1248,13 +1159,9 @@ impl ShardedUvSystem {
 
         Ok(Self {
             router,
-            nx,
-            ny,
-            query_loads: zero_loads(nx * ny),
-            update_loads: zero_loads(nx * ny),
-            rects: rects_from_bounds(&bounds_x, &bounds_y),
-            bounds_x,
-            bounds_y,
+            query_loads: zero_loads(shards.len()),
+            update_loads: zero_loads(shards.len()),
+            layout,
             shards,
         })
     }
@@ -1276,6 +1183,7 @@ impl ShardedUvSystem {
 }
 
 #[cfg(test)]
+#[allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -1592,6 +1500,18 @@ mod tests {
         assert_eq!(stats.replicas_removed, 0);
     }
 
+    /// Step-by-step equality of two trajectories: probabilities, candidate
+    /// counts and deltas always, the reuse flags when `reuse` is set.
+    fn assert_steps_match(a: &[TrajectoryStep], b: &[TrajectoryStep], reuse: bool) {
+        assert_eq!(a.len(), b.len());
+        for (i, (a, b)) in a.iter().zip(b).enumerate() {
+            assert_eq!(a.answer.probabilities, b.answer.probabilities, "step {i}");
+            assert_eq!(a.answer.candidates_examined, b.answer.candidates_examined);
+            assert_eq!(a.delta, b.delta, "step {i}");
+            assert!(!reuse || a.reused == b.reused, "reuse diverged at step {i}");
+        }
+    }
+
     #[test]
     fn trajectory_reroutes_across_shards_bit_identically() {
         let (_, sharded, unsharded) = fixture(200, 2);
@@ -1611,12 +1531,43 @@ mod tests {
             .filter(|w| sharded.owner_of(w[0]) != sharded.owner_of(w[1]))
             .count();
         assert!(crossings >= 2, "path must cross shard boundaries");
-        let sharded_steps = sharded.pnn_trajectory(&path);
         let oracle_steps = unsharded.pnn_trajectory(&path);
-        assert_eq!(sharded_steps.len(), oracle_steps.len());
-        for (a, b) in sharded_steps.iter().zip(&oracle_steps) {
-            assert_eq!(a.answer.probabilities, b.answer.probabilities);
-            assert_eq!(a.delta, b.delta);
+        assert_steps_match(&sharded.pnn_trajectory(&path), &oracle_steps, false);
+
+        // A slow walk north-east, out past the east edge and back: most
+        // steps reuse their stability disk. On the 1×1 layout every step,
+        // reuse flags included, equals the unsharded walk; on larger grids
+        // a crossing may legitimately re-derive where the unsharded walk
+        // reused, so only the answers must match.
+        let walk: Vec<Point> = (0..1_600)
+            .map(|i| {
+                let t = f64::from(i) / 1_599.0;
+                let x = if t < 0.75 {
+                    0.6 + 0.43 * t / 0.75
+                } else {
+                    1.03 - 0.52 * (t - 0.75)
+                };
+                Point::new(
+                    domain.min_x + domain.width() * x,
+                    domain.min_y + domain.height() * (0.3 + 0.4 * t),
+                )
+            })
+            .collect();
+        let oracle = unsharded.pnn_trajectory(&walk);
+        let reused = oracle.iter().filter(|s| s.reused).count();
+        assert!(
+            reused * 2 > walk.len(),
+            "the walk must mostly reuse ({reused})"
+        );
+        assert!(
+            walk.iter().any(|q| !domain.contains(*q)),
+            "the walk must leave"
+        );
+        for side in [1, 2, 3] {
+            let cfg = config().with_num_shards(side);
+            let objects = unsharded.objects().to_vec();
+            let sharded = ShardedUvSystem::build(objects, domain, Method::IC, cfg).unwrap();
+            assert_steps_match(&sharded.pnn_trajectory(&walk), &oracle, side == 1);
         }
     }
 
@@ -1906,7 +1857,7 @@ mod tests {
     /// unsharded repair is held to).
     fn assert_shards_equal_cold_grid_builds(sharded: &ShardedUvSystem) {
         let mbcs = mbcs_of(&sharded.router.objects);
-        let halos = shard_members(&sharded.router, &sharded.rects);
+        let halos = shard_members(&sharded.router, sharded.layout.rects());
         for (s, halo) in halos.into_iter().enumerate() {
             let shard = sharded.shard(s);
             let mut held: Vec<ObjectId> = shard.objects().iter().map(|o| o.id).collect();

@@ -35,12 +35,13 @@
 //!   rebuilt shards — bit-identical answers, so the reshard itself pushes
 //!   no deltas ([`SubscriptionEngine::refresh_after_reshard`]).
 //!
-//! There is one serving path: an unsharded [`UvSystem`] is served as the
-//! one-shard layout, shard 0 owning its whole domain, so every hit test,
-//! derivation and refresh runs the same code for both. All three refreshes
-//! are adapters over one revalidation pass, and a refresh handed a record
-//! of another layout (say, an unsharded apply's stats on a sharded engine)
-//! re-derives every client, which is always correct.
+//! There is one serving path: the engine serves from the routed view of
+//! [`crate::engine`], and an unsharded [`UvSystem`] is the 1×1 layout, shard
+//! 0 owning its whole domain, so every hit test, derivation and refresh runs
+//! the same code for both. All three refreshes are adapters over one
+//! revalidation pass, and a refresh handed a record of another layout (say,
+//! an unsharded apply's stats on a sharded engine) re-derives every client,
+//! which is always correct.
 //!
 //! The engine borrows the system immutably (like [`crate::engine`]'s
 //! [`QueryEngine`]), so applying updates requires handing the table across:
@@ -63,14 +64,14 @@
 
 #![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
-use crate::engine::{fan_out, EngineScratch, QueryEngine};
+use crate::engine::{fan_out, EngineScratch, QueryEngine, RoutedView};
 use crate::error::UvError;
-use crate::shard::{ReshardStats, ShardedUpdateStats, ShardedUvSystem};
+use crate::shard::{Layout, ReshardStats, ShardedUpdateStats, ShardedUvSystem};
 use crate::system::UvSystem;
 use crate::update::UpdateStats;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use uv_data::{AnswerDelta, ObjectId, PnnAnswer, UncertainObject, DEFAULT_RINGS};
-use uv_geom::{Point, Rect};
+use uv_geom::Point;
 
 /// Identifier of a subscribed client, chosen by the caller.
 pub type ClientId = u64;
@@ -244,45 +245,6 @@ impl SubscriptionStats {
     }
 }
 
-/// Who owns a point: the sharded layout's routing, or — unsharded — the one
-/// shard covering the domain.
-enum Owner<'a> {
-    Layout(&'a ShardedUvSystem),
-    Domain(Rect),
-}
-
-/// The shards a subscription engine serves from, one [`QueryEngine`] (with
-/// its own per-leaf cache) each. An unsharded system is the one-shard
-/// layout.
-struct ShardView<'a> {
-    shards: Vec<(&'a UvSystem, QueryEngine<'a>)>,
-    owner: Owner<'a>,
-    /// Threads a batch of derivations fans out over.
-    workers: usize,
-}
-
-impl<'a> ShardView<'a> {
-    fn new(shards: impl Iterator<Item = &'a UvSystem>, owner: Owner<'a>) -> Self {
-        let shards: Vec<_> = shards
-            .map(|s| (s, QueryEngine::new(s.index(), s.object_store())))
-            .collect();
-        let workers = shards.first().map_or(1, |(_, engine)| engine.workers());
-        Self {
-            shards,
-            owner,
-            workers,
-        }
-    }
-
-    /// The shard owning `p`, or `None` outside the domain.
-    fn owner_of(&self, p: Point) -> Option<usize> {
-        match self.owner {
-            Owner::Layout(system) => system.owner_of(p),
-            Owner::Domain(domain) => domain.contains(p).then_some(0),
-        }
-    }
-}
-
 /// Everything one full derivation hands back to the table: the client state
 /// it leaves and the answer.
 struct Derived {
@@ -314,7 +276,11 @@ struct Derived {
 /// assert!(deltas.is_empty());
 /// ```
 pub struct SubscriptionEngine<'a> {
-    view: ShardView<'a>,
+    /// The routed view's parts: one engine (and per-leaf cache) per shard
+    /// and the layout routing to them; an unsharded system is the 1×1
+    /// layout. Subscriptions tally no query loads.
+    engines: Vec<QueryEngine<'a>>,
+    layout: Layout,
     table: SubscriptionTable,
     stats: SubscriptionStats,
 }
@@ -333,8 +299,8 @@ impl<'a> SubscriptionEngine<'a> {
     /// [`SubscriptionEngine::refresh_after`] with the apply's stats before
     /// the next tick.
     pub fn with_table(system: &'a UvSystem, table: SubscriptionTable) -> Self {
-        let view = ShardView::new(std::iter::once(system), Owner::Domain(system.domain()));
-        Self::over(view, table)
+        let layout = Layout::uniform(system.domain(), 1);
+        Self::over(vec![system.engine()], layout, table)
     }
 
     /// Creates an engine over a sharded system with an empty table.
@@ -350,13 +316,14 @@ impl<'a> SubscriptionEngine<'a> {
     /// [`SubscriptionEngine::refresh_after_reshard`]. The refresh is what
     /// re-derives every client the change invalidated.
     pub fn sharded_with_table(system: &'a ShardedUvSystem, table: SubscriptionTable) -> Self {
-        let shards = (0..system.shard_count()).map(|s| system.shard(s));
-        Self::over(ShardView::new(shards, Owner::Layout(system)), table)
+        let engines = (0..system.shard_count()).map(|s| system.shard(s).engine());
+        Self::over(engines.collect(), system.layout.clone(), table)
     }
 
-    fn over(view: ShardView<'a>, table: SubscriptionTable) -> Self {
+    fn over(engines: Vec<QueryEngine<'a>>, layout: Layout, table: SubscriptionTable) -> Self {
         Self {
-            view,
+            engines,
+            layout,
             table,
             stats: SubscriptionStats::default(),
         }
@@ -394,7 +361,11 @@ impl<'a> SubscriptionEngine<'a> {
         if !position.is_finite() {
             return Err(UvError::InvalidPoint);
         }
-        let d = derive(&self.view, position, &mut EngineScratch::default());
+        let d = derive(
+            &RoutedView::over(&self.engines, &self.layout),
+            position,
+            &mut EngineScratch::default(),
+        );
         self.stats.derivations += 1;
         self.stats.clearance_reuses += u64::from(d.clearance_reused);
         self.table.clients.insert(id, d.client);
@@ -422,6 +393,7 @@ impl<'a> SubscriptionEngine<'a> {
     /// reports with a non-finite coordinate are skipped: the client is
     /// unchanged, nothing is pushed and nothing is counted.
     pub fn tick(&mut self, moves: &[(ClientId, Point)]) -> Vec<(ClientId, AnswerDelta)> {
+        let view = RoutedView::over(&self.engines, &self.layout);
         let mut seen = HashSet::with_capacity(moves.len());
         let unique_ids = moves.iter().all(|(id, _)| seen.insert(*id));
         let mut derived: HashMap<usize, Derived> = HashMap::new();
@@ -435,7 +407,7 @@ impl<'a> SubscriptionEngine<'a> {
                             .table
                             .clients
                             .get(id)
-                            .is_some_and(|c| !hit(&self.view, c, *p))
+                            .is_some_and(|c| !hit(&view, c, *p))
                 })
                 .map(|(i, (_, p))| (i, *p))
                 .unzip();
@@ -451,14 +423,14 @@ impl<'a> SubscriptionEngine<'a> {
                 continue;
             }
             self.stats.ticks += 1;
-            if hit(&self.view, client, *p) {
+            if hit(&view, client, *p) {
                 self.stats.hits += 1;
                 client.position = *p;
                 continue;
             }
             let d = derived
                 .remove(&i)
-                .unwrap_or_else(|| derive(&self.view, *p, &mut scratch));
+                .unwrap_or_else(|| derive(&view, *p, &mut scratch));
             if let Some(delta) = commit(&mut self.stats, client, d) {
                 out.push((*id, delta));
             }
@@ -508,7 +480,7 @@ impl<'a> SubscriptionEngine<'a> {
     /// from the engine's (say, on an unsharded engine), every client
     /// re-derives.
     pub fn refresh_after_reshard(&mut self, stats: &ReshardStats) -> Vec<(ClientId, AnswerDelta)> {
-        let other_layout = stats.nx * stats.ny != self.view.shards.len();
+        let other_layout = stats.nx * stats.ny != self.engines.len();
         self.revalidate(other_layout, |_, client, s| {
             match stats.shard_map.get(s).copied().flatten() {
                 // Renumber the pin: the moved shard kept its rectangle
@@ -530,12 +502,12 @@ impl<'a> SubscriptionEngine<'a> {
         per_shard: &[UpdateStats],
         domain_grown: bool,
     ) -> Vec<(ClientId, AnswerDelta)> {
-        let other_layout = per_shard.len() != self.view.shards.len();
+        let other_layout = per_shard.len() != self.engines.len();
         self.revalidate(domain_grown || other_layout, |view, client, s| {
-            let (Some((system, _)), Some(update)) = (view.shards.get(s), per_shard.get(s)) else {
+            let (Some(engine), Some(update)) = (view.engines.get(s), per_shard.get(s)) else {
                 return false;
             };
-            let cur = system.epoch();
+            let cur = engine.index().epoch();
             if client.epoch == cur {
                 return true;
             }
@@ -566,14 +538,15 @@ impl<'a> SubscriptionEngine<'a> {
     fn revalidate(
         &mut self,
         all_stale: bool,
-        keep: impl Fn(&ShardView<'_>, &mut Client, usize) -> bool,
+        keep: impl Fn(&RoutedView<'_, '_>, &mut Client, usize) -> bool,
     ) -> Vec<(ClientId, AnswerDelta)> {
+        let view = RoutedView::over(&self.engines, &self.layout);
         let mut stale = Vec::new();
         for (id, client) in self.table.clients.iter_mut() {
             let kept = !all_stale
                 && match client.shard {
-                    Some(s) => keep(&self.view, client, s),
-                    None => self.view.owner_of(client.position).is_none(),
+                    Some(s) => keep(&view, client, s),
+                    None => view.layout.owner_of(client.position).is_none(),
                 };
             if !kept {
                 stale.push((*id, client.position));
@@ -595,8 +568,9 @@ impl<'a> SubscriptionEngine<'a> {
 
     /// Derives at every point over the worker pool, in point order.
     fn derive_many(&self, points: Vec<Point>) -> Vec<Derived> {
-        let view = &self.view;
-        fan_out(view.workers, points, |scratch, p| derive(view, p, scratch))
+        let view = RoutedView::over(&self.engines, &self.layout);
+        let workers = view.engines.first().map_or(1, QueryEngine::workers);
+        fan_out(workers, points, |scratch, p| derive(&view, p, scratch))
     }
 }
 
@@ -623,7 +597,7 @@ fn commit(stats: &mut SubscriptionStats, client: &mut Client, d: Derived) -> Opt
 /// Safe-region hit test: strictly inside the stability disk, still owned by
 /// the pinned shard at its current epoch, and in the same leaf (located
 /// through the in-memory grid — no page reads).
-fn hit(view: &ShardView<'_>, client: &Client, p: Point) -> bool {
+fn hit(view: &RoutedView<'_, '_>, client: &Client, p: Point) -> bool {
     let (Some(safe), Some(s)) = (&client.safe, client.shard) else {
         return false;
     };
@@ -632,11 +606,11 @@ fn hit(view: &ShardView<'_>, client: &Client, p: Point) -> bool {
     if p.dist(safe.anchor).partial_cmp(&safe.radius) != Some(std::cmp::Ordering::Less) {
         return false;
     }
-    let Some((system, engine)) = view.shards.get(s) else {
+    let Some(engine) = view.engines.get(s) else {
         return false;
     };
-    view.owner_of(p) == Some(s)
-        && client.epoch == system.epoch()
+    view.layout.owner_of(p) == Some(s)
+        && client.epoch == engine.index().epoch()
         && engine.index().locate_leaf(p) == Some(safe.leaf)
 }
 
@@ -644,7 +618,7 @@ fn hit(view: &ShardView<'_>, client: &Client, p: Point) -> bool {
 /// stability radius is the fused-screen clearance (bit-identical to the
 /// scalar `candidate_stability_radius` over the screened leaf entries)
 /// capped by the integrated candidates' [`answer_stability_radius`].
-fn derive(view: &ShardView<'_>, p: Point, scratch: &mut EngineScratch) -> Derived {
+fn derive(view: &RoutedView<'_, '_>, p: Point, scratch: &mut EngineScratch) -> Derived {
     // An unowned (out-of-domain) position gets the empty answer, no pin.
     let mut out = Derived {
         client: Client {
@@ -658,24 +632,26 @@ fn derive(view: &ShardView<'_>, p: Point, scratch: &mut EngineScratch) -> Derive
         clearance_reused: false,
     };
     let owned = view
+        .layout
         .owner_of(p)
-        .and_then(|s| view.shards.get(s).map(|shard| (s, shard)));
-    let Some((s, (system, engine))) = owned else {
+        .and_then(|s| view.engines.get(s).map(|engine| (s, engine)));
+    let Some((s, engine)) = owned else {
         return out;
     };
-    out.client.epoch = system.epoch();
+    let index = engine.index();
+    out.client.epoch = index.epoch();
     out.client.shard = Some(s);
     let Some(d) = engine.derive_at(p, scratch) else {
         return out;
     };
-    let config = system.config();
+    let config = index.config();
     let rho = d.clearance.min(answer_stability_radius(
         p,
         &d.candidates,
         &d.answer,
         config.integration_steps,
     ));
-    let rho = config.apply_safe_region_floor(rho, system.domain());
+    let rho = config.apply_safe_region_floor(rho, index.domain());
     out.client.answer_ids = d.answer.answer_ids();
     out.client.safe = (rho > 0.0).then_some(SafeRegion {
         leaf: d.leaf,
@@ -896,7 +872,7 @@ mod tests {
     use crate::{Method, UvConfig, UvSystem};
     use uv_data::{qualification_probabilities, ObjectEntry, QueryBreakdown};
     use uv_data::{Dataset, GeneratorConfig};
-    use uv_geom::EPS;
+    use uv_geom::{Rect, EPS};
 
     fn fixture(n: usize) -> (Dataset, UvSystem) {
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(n));

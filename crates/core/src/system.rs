@@ -4,7 +4,12 @@
 //!
 //! [`UvSystem`] is what the examples and the experiment harness use; the
 //! individual pieces remain available for callers that want to manage
-//! storage themselves.
+//! storage themselves. [`UvSystem::pnn`] is the scalar Section V-A lookup
+//! every other path equals bit for bit; batches and trajectories run the
+//! routed serving body of [`crate::engine`], this system being the 1×1
+//! layout, and updates end in the grid-repair step shards share too.
+
+#![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
 use crate::builder::{build_grid, entries_of, mbcs_of, GridCtx, Method};
 use crate::config::UvConfig;
@@ -62,19 +67,8 @@ impl UvSystem {
         let rtree_pages = Arc::new(PageStore::new());
         let rtree = RTree::build(&objects, &object_store, rtree_pages);
         let (router, report) = DerivationRouter::derive(objects, domain, rtree, method, config);
-        let (index, construction) = index_grid(
-            &router,
-            &object_store,
-            &mbcs_of(&router.objects),
-            &report,
-            Arc::new(PageStore::new()),
-        );
-        Ok(Self {
-            router,
-            object_store,
-            index,
-            construction,
-        })
+        let mbcs = mbcs_of(&router.objects);
+        Ok(Self::assemble(router, object_store, &mbcs, &report))
     }
 
     /// A shard's system over `members`, indexed from `global`'s reference
@@ -89,13 +83,19 @@ impl UvSystem {
     ) -> Self {
         let object_store = ObjectStore::build(Arc::new(PageStore::new()), &members);
         let router = DerivationRouter::replica(members, global);
-        let (index, construction) = index_grid(
-            &router,
-            &object_store,
-            mbcs,
-            &DerivationReport::default(),
-            Arc::new(PageStore::new()),
-        );
+        Self::assemble(router, object_store, mbcs, &DerivationReport::default())
+    }
+
+    /// The system over `router`'s objects and states: its grid built into a
+    /// fresh page store, leaf entries pointing into `object_store`.
+    fn assemble(
+        router: DerivationRouter,
+        object_store: ObjectStore,
+        mbcs: &HashMap<ObjectId, Circle>,
+        report: &DerivationReport,
+    ) -> Self {
+        let store = Arc::new(PageStore::new());
+        let (index, construction) = index_grid(&router, &object_store, mbcs, report, store);
         Self {
             router,
             object_store,
@@ -107,6 +107,8 @@ impl UvSystem {
     /// Builds with the paper's default configuration and the IC method.
     /// Infallible: the default configuration always validates (asserted by
     /// the `uv_core::config` test suite).
+    // Cannot fire: the default config always validates (`config.rs` tests).
+    #[allow(clippy::expect_used)]
     pub fn with_defaults(objects: Vec<UncertainObject>, domain: Rect) -> Self {
         Self::build(objects, domain, Method::IC, UvConfig::default())
             .expect("the default UvConfig always validates")
@@ -172,8 +174,14 @@ impl UvSystem {
         &self.construction
     }
 
-    /// Answers a PNN query with the UV-index (point lookup + verification).
+    /// Answers a PNN query with the UV-index (point lookup + verification):
+    /// the scalar path of Section V-A, which every batched, routed and
+    /// sharded answer equals bit for bit. A point outside the domain, or
+    /// with a NaN or infinite coordinate, gets the empty answer.
     pub fn pnn(&self, q: Point) -> PnnAnswer {
+        if !q.is_finite() {
+            return PnnAnswer::default();
+        }
         self.index
             .pnn(&self.object_store, q, self.router.config.integration_steps)
     }
@@ -189,15 +197,18 @@ impl UvSystem {
         QueryEngine::new(&self.index, &self.object_store)
     }
 
-    /// Answers a batch of PNN queries concurrently; answers are in query
-    /// order and bit-identical to a sequential loop of [`UvSystem::pnn`].
+    /// Answers a batch of PNN queries concurrently through the routed view
+    /// (this system as the 1×1 layout), in query order and bit-identical to
+    /// a loop of [`UvSystem::pnn`]: an unowned point — outside the domain,
+    /// or with a NaN or infinite coordinate — gets the empty answer.
     pub fn pnn_batch(&self, queries: &[Point]) -> Vec<PnnAnswer> {
-        self.engine().pnn_batch(queries)
+        self.engine().routed(|view| view.pnn_batch(queries))
     }
 
     /// Answers a moving-PNN workload (a trajectory of query points),
     /// reporting each step's answer plus the delta against the previous
-    /// step's answer set.
+    /// step's answer set ([`QueryEngine::pnn_trajectory`]). An unowned point
+    /// gets the empty answer and is never reused.
     pub fn pnn_trajectory(&self, path: &[Point]) -> Vec<TrajectoryStep> {
         self.engine().pnn_trajectory(path)
     }
@@ -261,6 +272,7 @@ pub(crate) fn index_grid(
 }
 
 #[cfg(test)]
+#[allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use uv_data::{Dataset, GeneratorConfig};

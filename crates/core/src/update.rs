@@ -50,10 +50,11 @@
 //! [`UvSystem::apply`] is the system's [`crate::DerivationRouter`]
 //! pipeline — validation, net diff, domain growth, affected set,
 //! re-derivation and the dirty diff (steps 1–8, [`crate::router`]) —
-//! followed by the localized grid repair and budget reconciliation of this
-//! module (steps 9–10), driven by the change record the router returns.
-//! The sharded layer runs the same two halves: its router derives once,
-//! and every touched shard repairs its grid from the same record
+//! followed by one grid-repair step, driven by the change record the router
+//! returns: the localized repair and budget reconciliation of this module
+//! (steps 9–10), or the canonical re-index after domain growth. The sharded
+//! layer runs the same two halves: its router derives once, and every
+//! touched shard runs the same grid-repair step on its share of the record
 //! ([`crate::shard`]).
 //!
 //! # No full rebuilds
@@ -271,6 +272,20 @@ impl UpdateStats {
     }
 }
 
+/// What the grid-repair step ([`UvSystem::repair_grid`]) applies, ids
+/// ascending: `added` newly indexed, `removed` no longer indexed, `dirty`
+/// surviving members whose overlap inputs changed, `entry_dirty` members
+/// whose leaf entry bytes (MBC or record pointer) changed. `regrown` holds
+/// the derivation behind the states when the domain grew (empty for a
+/// shard, which derives nothing); the grid is then re-indexed whole.
+pub(crate) struct GridEdit<'e> {
+    pub(crate) regrown: Option<&'e DerivationReport>,
+    pub(crate) added: &'e [ObjectId],
+    pub(crate) removed: &'e [ObjectId],
+    pub(crate) dirty: &'e [ObjectId],
+    pub(crate) entry_dirty: &'e [ObjectId],
+}
+
 /// Fluent update handle borrowing a [`UvSystem`]: queue inserts, deletes and
 /// moves, then [`Updater::commit`] them as one atomic batch.
 ///
@@ -366,7 +381,7 @@ impl UvSystem {
     ///
     /// Steps 1–8 are the system's [`crate::DerivationRouter`] pipeline (the
     /// object store is updated and the R-tree repacked in its re-indexing
-    /// step); steps 9–10 repair the grid from the change it reports.
+    /// step); the grid-repair step every shard shares does the rest.
     pub fn apply(&mut self, batch: UpdateBatch) -> Result<UpdateStats, UvError> {
         let object_store = &mut self.object_store;
         let change = self.router.apply_with(batch, |objects, diff, pages| {
@@ -376,68 +391,48 @@ impl UvSystem {
         let noop = change.is_noop();
         let mut stats = change.stats;
         stats.total_leaves = self.index.num_leaf_nodes();
-        if noop {
-            return Ok(stats);
+        if !noop {
+            let edit = GridEdit {
+                regrown: change.regrown.as_ref(),
+                added: &change.inserted,
+                removed: &change.deleted,
+                dirty: &change.dirty,
+                entry_dirty: &change.changed,
+            };
+            self.repair_grid(&mbcs_of(&self.router.objects), edit, &mut stats);
         }
-        let mbcs = mbcs_of(&self.router.objects);
-        if let Some(report) = &change.regrown {
-            // Every derivation changed with the domain: rebuild the grid
-            // canonically into the live system (stores and epoch sequence
-            // carry over).
-            self.reindex_grid(&mbcs, report);
-            stats.leaves_refined = self.index.num_leaf_nodes();
-            stats.total_leaves = self.index.num_leaf_nodes();
-            stats.epoch = self.index.epoch;
-            return Ok(stats);
-        }
-        let entry_dirty: HashSet<ObjectId> = change.changed.iter().copied().collect();
-        self.repair_grid(
-            &mbcs,
-            &change.inserted,
-            &change.deleted,
-            &change.dirty,
-            &entry_dirty,
-            &mut stats,
-        );
         Ok(stats)
     }
 
-    /// Rebuilds the grid canonically at the current domain from the
-    /// system's reference states (no derivation) and advances the epoch by
-    /// one — what a domain growth leaves every grid to do. `report` is the
-    /// derivation that produced the states.
-    pub(crate) fn reindex_grid(
-        &mut self,
-        mbcs: &HashMap<ObjectId, Circle>,
-        report: &DerivationReport,
-    ) {
-        let epoch = self.index.epoch + 1;
-        // The grown grid goes into the same store — its counters must stay
-        // monotone across the batch — after the old grid's pages are freed.
-        self.index.free_leaves();
-        let store = Arc::clone(self.index.store());
-        (self.index, self.construction) =
-            index_grid(&self.router, &self.object_store, mbcs, report, store);
-        self.index.epoch = epoch;
-    }
-
-    /// Steps 9–10: localized grid repair and budget reconciliation over the
-    /// system's current objects and states, advancing the epoch by one.
-    /// `added` are newly indexed ids, `removed` ids no longer indexed,
-    /// `dirty` surviving members whose overlap inputs changed and
-    /// `entry_dirty` members whose leaf entry bytes (MBC or record pointer)
-    /// changed. Overlap tests take MBCs from `mbcs`, which must cover every
-    /// referenced object. Fills the leaf counters, repaired rectangles,
-    /// epoch and leaf total of `stats`.
+    /// The grid-repair step every applied batch ends with, unsharded or on
+    /// a shard; advances the epoch by one. After domain growth the grid is
+    /// rebuilt canonically from the system's states (no derivation) into
+    /// the pages the old grid frees in the same store; otherwise steps 9–10
+    /// repair it locally and reconcile the budget. Overlap tests take MBCs
+    /// from `mbcs`, which must cover every referenced object. Fills the leaf
+    /// counters, repaired rectangles, epoch and leaf total of `stats`.
     pub(crate) fn repair_grid(
         &mut self,
         mbcs: &HashMap<ObjectId, Circle>,
-        added: &[ObjectId],
-        removed: &[ObjectId],
-        dirty: &[ObjectId],
-        entry_dirty: &HashSet<ObjectId>,
+        edit: GridEdit<'_>,
         stats: &mut UpdateStats,
     ) {
+        if let Some(report) = edit.regrown {
+            let epoch = self.index.epoch + 1;
+            // The grown grid reuses the old grid's freed pages in the same
+            // store, whose counters must stay monotone across the batch.
+            self.index.free_leaves();
+            let store = Arc::clone(self.index.store());
+            (self.index, self.construction) =
+                index_grid(&self.router, &self.object_store, mbcs, report, store);
+            self.index.epoch = epoch;
+            stats.leaves_refined = self.index.num_leaf_nodes();
+            stats.total_leaves = self.index.num_leaf_nodes();
+            stats.epoch = epoch;
+            stats.repaired_rects = vec![self.router.domain];
+            return;
+        }
+        let entry_dirty: HashSet<ObjectId> = edit.entry_dirty.iter().copied().collect();
         let entries = entries_of(&self.router.objects, &self.object_store);
         let ctx = GridCtx {
             mbcs,
@@ -457,17 +452,17 @@ impl UvSystem {
         let mut added_root: Vec<ObjectId> = Vec::new();
         let mut removed_root: Vec<ObjectId> = Vec::new();
         let mut changed_root: Vec<ObjectId> = Vec::new();
-        for id in added {
+        for id in edit.added {
             if ctx.overlaps(*id, &domain) {
                 added_root.push(*id);
             }
         }
-        for id in removed {
+        for id in edit.removed {
             if root_members.contains(id) {
                 removed_root.push(*id);
             }
         }
-        for id in dirty {
+        for id in edit.dirty {
             match (root_members.contains(id), ctx.overlaps(*id, &domain)) {
                 (true, true) => changed_root.push(*id),
                 (true, false) => removed_root.push(*id),
@@ -479,7 +474,7 @@ impl UvSystem {
         let prev_budget_bound = self.index.budget_bound;
         let mut repairer = Repairer {
             ctx,
-            entry_dirty,
+            entry_dirty: &entry_dirty,
             grow: GrowStats::default(),
             merges: 0,
         };
