@@ -100,63 +100,10 @@ pub(crate) struct EngineScratch {
     screen: uv_data::ScreenScratch,
     candidates: Vec<usize>,
     touched: HashSet<u32>,
-    kernel: KernelArena,
-    quad: QuadratureScratch,
-}
-
-/// The batched tail of PNN query processing, bit-identical to
-/// [`crate::index::verify_and_refine_full`] over the same (screened)
-/// entries: the fused `d_minmax` screen of the entry arena, pdf retrieval
-/// for the surviving candidates, and the arena quadrature. Additionally
-/// returns the signed clearance of the screen decision — the candidate
-/// stability radius [`crate::subscribe`] previously re-derived in a second
-/// scalar pass over the same entries.
-fn verify_and_refine_arena(
-    objects: &ObjectStore,
-    q: Point,
-    integration_steps: usize,
-    arena: &EntryArena,
-    scratch: &mut EngineScratch,
-    index_io: u64,
-    t_traversal: Instant,
-) -> (PnnAnswer, Vec<UncertainObject>, f64) {
-    let mut breakdown = QueryBreakdown::default();
-
-    let screen = arena.screen(q, &mut scratch.screen, &mut scratch.candidates);
-    breakdown.traversal = t_traversal.elapsed();
-    breakdown.index_io = index_io;
-
-    let t_retrieval = Instant::now();
-    scratch.touched.clear();
-    let ids = arena.ids();
-    let fetched: Vec<UncertainObject> = scratch
-        .candidates
-        .iter()
-        .filter_map(|&i| objects.fetch(ids[i], &mut scratch.touched))
-        .collect();
-    breakdown.retrieval = t_retrieval.elapsed();
-    // `fetch` charges exactly one page read per page newly inserted into
-    // the touched set, so the set size is this query's object I/O.
-    breakdown.object_io = scratch.touched.len() as u64;
-
-    let t_prob = Instant::now();
-    scratch.kernel.assign(fetched.iter());
-    let mut probabilities =
-        scratch
-            .kernel
-            .qualification_probabilities(q, integration_steps, &mut scratch.quad);
-    probabilities.retain(|(_, p)| *p > 0.0);
-    breakdown.probability = t_prob.elapsed();
-
-    (
-        PnnAnswer {
-            probabilities,
-            candidates_examined: scratch.candidates.len(),
-            breakdown,
-        },
-        fetched,
-        screen.clearance,
-    )
+    /// The candidates of the last [`QueryEngine::derive_at`], ring tables
+    /// built.
+    pub(crate) kernel: KernelArena,
+    pub(crate) quad: QuadratureScratch,
 }
 
 /// Lazily filled per-leaf cache, indexed by grid-node id. `OnceLock` makes
@@ -210,18 +157,19 @@ struct StepReuse {
     quad: QuadratureScratch,
 }
 
-/// Everything a full single-point derivation produces: the leaf, the answer,
-/// the fetched candidate objects (candidate order), the signed clearance of
-/// the candidate screen (the fused stability term) and whether the leaf's
-/// cached clearance geometry was reused rather than built by this
-/// derivation. [`crate::subscribe`] consumes all of it to build a safe
-/// region.
-pub(crate) struct DeriveResult {
+/// A derivation stopped after the screen and the candidate fetch, its
+/// candidates' ring tables built in the scratch's kernel arena: the leaf, the
+/// signed clearance of the candidate screen (the fused stability term) and
+/// whether the leaf's cached clearance geometry was reused rather than built
+/// by this derivation. [`QueryEngine::integrate`] finishes it with the
+/// quadrature; [`crate::subscribe`] may decide the answer set from the kernel
+/// arena instead.
+pub(crate) struct Screened {
     pub(crate) leaf: usize,
-    pub(crate) answer: PnnAnswer,
-    pub(crate) candidates: Vec<UncertainObject>,
     pub(crate) clearance: f64,
     pub(crate) arena_reused: bool,
+    examined: usize,
+    breakdown: QueryBreakdown,
 }
 
 /// Drops entries that can never survive the per-query `d_minmax` screen for
@@ -383,21 +331,8 @@ impl<'a> QueryEngine<'a> {
     /// [`QueryEngine::pnn`] with caller-provided kernel scratch, so a worker
     /// serving a chunk of queries reuses its buffers across the whole chunk.
     pub(crate) fn pnn_with(&self, q: Point, scratch: &mut EngineScratch) -> PnnAnswer {
-        let t_traversal = Instant::now();
-        let Some(leaf) = self.index.locate_leaf(q) else {
-            return PnnAnswer::default();
-        };
-        let (arena, io, _) = self.leaf_arena(leaf);
-        verify_and_refine_arena(
-            self.objects,
-            q,
-            self.integration_steps,
-            arena.get(),
-            scratch,
-            io,
-            t_traversal,
-        )
-        .0
+        self.derive_at(q, scratch)
+            .map_or_else(PnnAnswer::default, |s| self.integrate(q, &s, scratch))
     }
 
     /// The index this engine serves.
@@ -443,31 +378,70 @@ impl<'a> QueryEngine<'a> {
         (LeafArenaRef::Cached(&cached.arena), io, !filled_here)
     }
 
-    /// Fully derives the answer at `q` — leaf descent, screened entry
-    /// arena, fused `d_minmax` verification, arena quadrature — returning
-    /// the derivation context alongside the answer. `None` when `q` lies
-    /// outside the domain. The answer is bit-identical to
-    /// [`QueryEngine::pnn`].
-    pub(crate) fn derive_at(&self, q: Point, scratch: &mut EngineScratch) -> Option<DeriveResult> {
+    /// Derives at `q` up to the quadrature — leaf descent, screened entry
+    /// arena, fused `d_minmax` verification, pdf retrieval for the surviving
+    /// candidates and their ring tables in `scratch`'s kernel arena. `None`
+    /// when `q` lies outside the domain. [`QueryEngine::integrate`] finishes
+    /// the answer bit-identically to [`crate::index::verify_and_refine`]
+    /// over the same (screened) entries.
+    pub(crate) fn derive_at(&self, q: Point, scratch: &mut EngineScratch) -> Option<Screened> {
         let t_traversal = Instant::now();
         let leaf = self.index.locate_leaf(q)?;
-        let (arena, io, arena_reused) = self.leaf_arena(leaf);
-        let (answer, candidates, clearance) = verify_and_refine_arena(
-            self.objects,
+        let (arena, index_io, arena_reused) = self.leaf_arena(leaf);
+        let arena = arena.get();
+        let mut breakdown = QueryBreakdown::default();
+        let screen = arena.screen(q, &mut scratch.screen, &mut scratch.candidates);
+        breakdown.traversal = t_traversal.elapsed();
+        breakdown.index_io = index_io;
+
+        let t_retrieval = Instant::now();
+        scratch.touched.clear();
+        let ids = arena.ids();
+        let fetched: Vec<&UncertainObject> = scratch
+            .candidates
+            .iter()
+            .filter_map(|&i| self.objects.fetch(ids[i], &mut scratch.touched))
+            .collect();
+        breakdown.retrieval = t_retrieval.elapsed();
+        // `fetch` charges exactly one page read per page newly inserted into
+        // the touched set, so the set size is this query's object I/O.
+        breakdown.object_io = scratch.touched.len() as u64;
+
+        let t_prob = Instant::now();
+        scratch.kernel.assign(fetched);
+        breakdown.probability = t_prob.elapsed();
+        Some(Screened {
+            leaf,
+            clearance: screen.clearance,
+            arena_reused,
+            examined: scratch.candidates.len(),
+            breakdown,
+        })
+    }
+
+    /// Finishes a [`QueryEngine::derive_at`] at the same `q` and over the
+    /// same scratch with the arena quadrature and the positive-probability
+    /// filter: the answer bit-identical to [`QueryEngine::pnn`].
+    pub(crate) fn integrate(
+        &self,
+        q: Point,
+        screened: &Screened,
+        scratch: &mut EngineScratch,
+    ) -> PnnAnswer {
+        let t_prob = Instant::now();
+        let mut probabilities = scratch.kernel.qualification_probabilities(
             q,
             self.integration_steps,
-            arena.get(),
-            scratch,
-            io,
-            t_traversal,
+            &mut scratch.quad,
         );
-        Some(DeriveResult {
-            leaf,
-            answer,
-            candidates,
-            clearance,
-            arena_reused,
-        })
+        probabilities.retain(|(_, p)| *p > 0.0);
+        let mut breakdown = screened.breakdown;
+        breakdown.probability += t_prob.elapsed();
+        PnnAnswer {
+            probabilities,
+            candidates_examined: screened.examined,
+            breakdown,
+        }
     }
 
     /// Answers one trajectory point, reusing `reuse` when the point stays
@@ -499,27 +473,25 @@ impl<'a> QueryEngine<'a> {
                 return (answer, true);
             }
         }
-        let Some(d) = self.derive_at(q, &mut EngineScratch::default()) else {
+        let mut scratch = EngineScratch::default();
+        let Some(d) = self.derive_at(q, &mut scratch) else {
             *reuse = None;
             return (PnnAnswer::default(), false);
         };
+        let answer = self.integrate(q, &d, &mut scratch);
         let radius = self
             .index
             .config()
             .apply_safe_region_floor(d.clearance, self.index.domain());
-        *reuse = (radius > 0.0).then(|| {
-            let mut kernel = KernelArena::new();
-            kernel.assign(d.candidates.iter());
-            StepReuse {
-                leaf: d.leaf,
-                anchor: q,
-                radius,
-                examined: d.answer.candidates_examined,
-                kernel,
-                quad: QuadratureScratch::default(),
-            }
+        *reuse = (radius > 0.0).then_some(StepReuse {
+            leaf: d.leaf,
+            anchor: q,
+            radius,
+            examined: answer.candidates_examined,
+            kernel: scratch.kernel,
+            quad: scratch.quad,
         });
-        (d.answer, false)
+        (answer, false)
     }
 
     /// Answers a batch of PNN queries, fanned out over the worker pool.

@@ -358,30 +358,6 @@ pub(crate) fn verify_and_refine(
     index_io: u64,
     t_traversal: Instant,
 ) -> PnnAnswer {
-    verify_and_refine_full(
-        objects,
-        q,
-        integration_steps,
-        entries,
-        index_io,
-        t_traversal,
-    )
-    .0
-}
-
-/// Like [`verify_and_refine`], additionally returning the fetched candidate
-/// objects (in candidate order). The safe-region machinery
-/// ([`crate::subscribe`], trajectory reuse) caches these so later query
-/// points inside a stable region can recompute the qualification
-/// probabilities without touching the index or object store.
-pub(crate) fn verify_and_refine_full(
-    objects: &ObjectStore,
-    q: Point,
-    integration_steps: usize,
-    entries: &[ObjectEntry],
-    index_io: u64,
-    t_traversal: Instant,
-) -> (PnnAnswer, Vec<uv_data::UncertainObject>) {
     let mut breakdown = QueryBreakdown::default();
 
     // Verification of [14]: no object whose minimum distance exceeds the
@@ -409,19 +385,15 @@ pub(crate) fn verify_and_refine_full(
     breakdown.object_io = touched.len() as u64;
 
     let t_prob = Instant::now();
-    let refs: Vec<_> = fetched.iter().collect();
-    let mut probabilities = qualification_probabilities(q, &refs, integration_steps);
+    let mut probabilities = qualification_probabilities(q, &fetched, integration_steps);
     probabilities.retain(|(_, p)| *p > 0.0);
     breakdown.probability = t_prob.elapsed();
 
-    (
-        PnnAnswer {
-            probabilities,
-            candidates_examined: candidates.len(),
-            breakdown,
-        },
-        fetched,
-    )
+    PnnAnswer {
+        probabilities,
+        candidates_examined: candidates.len(),
+        breakdown,
+    }
 }
 
 /// Algorithm 5 (`CheckOverlap`): decides whether the UV-cell of an object —

@@ -20,6 +20,12 @@
 //!   the same per-leaf cache and worker pool as [`crate::engine`] and pushes
 //!   an [`AnswerDelta`] only when the answer id set actually changed, so the
 //!   client-visible stream is one unbroken chain of deltas.
+//! * **Certified misses** — a miss, or a refresh re-derivation, needs the
+//!   answer *set*, not the probabilities. It runs the screen and the
+//!   candidate fetch, then decides each candidate's sign from a few cdf
+//!   evaluations at the miss point and skips the quadrature when every sign
+//!   is decided ([`SubscriptionStats::certified`]). `subscribe` integrates,
+//!   since it returns probabilities.
 //! * **Epoch-tagged invalidation** — after an update, only subscriptions
 //!   whose position lies inside a repaired leaf rectangle of their shard
 //!   ([`crate::update::UpdateStats::repaired_regions`]) re-derive; everyone
@@ -61,6 +67,20 @@
 //! [`uv_data::qualification_probabilities`] must land on a *specific side*
 //! of a branch. A margin that comes out non-positive simply produces no
 //! safe region, which only costs a re-derivation — never a wrong answer.
+//!
+//! The sign pass (`certify_signs`) is exact rather than conservative: it
+//! evaluates the quadrature's own expressions — the same step ends, cdfs
+//! and survival products, in the same floating-point order — only where
+//! they decide a sign. A candidate is in when one of its integration terms
+//! is positive: terms are non-negative and summed in order, so that term
+//! also bounds the integrated probability from below, and a term of at
+//! least `1e-12` settles the radius's probability guard the way the
+//! probability itself would. A candidate is out when its cdf is exactly 0.0
+//! at every step end, or exactly 0.0 until a competitor's cdf is exactly
+//! 1.0. Any candidate left undecided sends the miss through the quadrature.
+//! Both paths hand the same signs to the one `answer_stability_radius`, so
+//! a certified miss stores the answer ids and the bit-identical safe region
+//! an integrating one would.
 
 #![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
@@ -70,7 +90,7 @@ use crate::shard::{Layout, ReshardStats, ShardedUpdateStats, ShardedUvSystem};
 use crate::system::UvSystem;
 use crate::update::UpdateStats;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use uv_data::{AnswerDelta, ObjectId, PnnAnswer, UncertainObject, DEFAULT_RINGS};
+use uv_data::{AnswerDelta, KernelArena, ObjectId, PnnAnswer, QuadratureScratch};
 use uv_geom::Point;
 
 /// Identifier of a subscribed client, chosen by the caller.
@@ -232,6 +252,12 @@ pub struct SubscriptionStats {
     /// so co-located clients share the screen setup instead of re-reading
     /// and re-screening the leaf.
     pub clearance_reuses: u64,
+    /// Derivations — safe-region misses and refresh re-derivations — whose
+    /// answer set was decided exactly from a few cdf evaluations, without
+    /// the qualification-probability quadrature. A subset of
+    /// `derivations`; `subscribe` always integrates, since it returns
+    /// probabilities.
+    pub certified: u64,
 }
 
 impl SubscriptionStats {
@@ -245,11 +271,13 @@ impl SubscriptionStats {
     }
 }
 
-/// Everything one full derivation hands back to the table: the client state
-/// it leaves and the answer.
+/// Everything one derivation hands back to the table: the client state it
+/// leaves and the answer.
 struct Derived {
     client: Client,
-    answer: PnnAnswer,
+    /// The full answer; `None` when the sign pass decided the answer set
+    /// without the quadrature.
+    answer: Option<PnnAnswer>,
     /// Whether the derivation reused an already-built cached leaf arena
     /// (clearance geometry shared with earlier co-located derivations).
     clearance_reused: bool,
@@ -365,11 +393,12 @@ impl<'a> SubscriptionEngine<'a> {
             &RoutedView::over(&self.engines, &self.layout),
             position,
             &mut EngineScratch::default(),
+            false,
         );
         self.stats.derivations += 1;
         self.stats.clearance_reuses += u64::from(d.clearance_reused);
         self.table.clients.insert(id, d.client);
-        Ok(d.answer)
+        Ok(d.answer.unwrap_or_default())
     }
 
     /// Removes client `id`. Errors with [`UvError::UnknownClient`] when it
@@ -388,14 +417,18 @@ impl<'a> SubscriptionEngine<'a> {
     /// set is provably unchanged, so the tick costs zero leaf page reads
     /// and pushes nothing. Misses re-derive concurrently over the worker
     /// pool (sequentially when one client appears twice in the batch, so
-    /// later reports see earlier state) and push a delta only when the
-    /// answer set actually changed. Reports for unregistered ids and
-    /// reports with a non-finite coordinate are skipped: the client is
-    /// unchanged, nothing is pushed and nothing is counted.
+    /// later reports see earlier state), decide the answer set by the sign
+    /// pass where it can (see [`SubscriptionStats::certified`]), and push a
+    /// delta only when the answer set actually changed. Reports for
+    /// unregistered ids and reports with a non-finite coordinate are
+    /// skipped: the client is unchanged, nothing is pushed and nothing is
+    /// counted.
     pub fn tick(&mut self, moves: &[(ClientId, Point)]) -> Vec<(ClientId, AnswerDelta)> {
         let view = RoutedView::over(&self.engines, &self.layout);
         let mut seen = HashSet::with_capacity(moves.len());
         let unique_ids = moves.iter().all(|(id, _)| seen.insert(*id));
+        // With unique ids, one hit test per report decides up front: the
+        // misses derive together and the commit loop only looks them up.
         let mut derived: HashMap<usize, Derived> = HashMap::new();
         if unique_ids {
             let (at, misses): (Vec<usize>, Vec<Point>) = moves
@@ -423,14 +456,16 @@ impl<'a> SubscriptionEngine<'a> {
                 continue;
             }
             self.stats.ticks += 1;
-            if hit(&view, client, *p) {
+            let miss = if unique_ids {
+                derived.remove(&i)
+            } else {
+                (!hit(&view, client, *p)).then(|| derive(&view, *p, &mut scratch, true))
+            };
+            let Some(d) = miss else {
                 self.stats.hits += 1;
                 client.position = *p;
                 continue;
-            }
-            let d = derived
-                .remove(&i)
-                .unwrap_or_else(|| derive(&view, *p, &mut scratch));
+            };
             if let Some(delta) = commit(&mut self.stats, client, d) {
                 out.push((*id, delta));
             }
@@ -566,11 +601,14 @@ impl<'a> SubscriptionEngine<'a> {
         out
     }
 
-    /// Derives at every point over the worker pool, in point order.
+    /// Derives at every point over the worker pool, in point order,
+    /// certifying answer sets where the sign pass can.
     fn derive_many(&self, points: Vec<Point>) -> Vec<Derived> {
         let view = RoutedView::over(&self.engines, &self.layout);
         let workers = view.engines.first().map_or(1, QueryEngine::workers);
-        fan_out(workers, points, |scratch, p| derive(&view, p, scratch))
+        fan_out(workers, points, |scratch, p| {
+            derive(&view, p, scratch, true)
+        })
     }
 }
 
@@ -579,6 +617,7 @@ impl<'a> SubscriptionEngine<'a> {
 fn commit(stats: &mut SubscriptionStats, client: &mut Client, d: Derived) -> Option<AnswerDelta> {
     stats.derivations += 1;
     stats.clearance_reuses += u64::from(d.clearance_reused);
+    stats.certified += u64::from(d.answer.is_none());
     if let (Some(old), Some(new)) = (client.shard, d.client.shard) {
         if old != new {
             stats.migrations += 1;
@@ -614,11 +653,20 @@ fn hit(view: &RoutedView<'_, '_>, client: &Client, p: Point) -> bool {
         && engine.index().locate_leaf(p) == Some(safe.leaf)
 }
 
-/// One full derivation (answer + safe region) on the shard owning `p`. The
-/// stability radius is the fused-screen clearance (bit-identical to the
+/// One derivation (answer id set + safe region) on the shard owning `p`.
+/// The stability radius is the fused-screen clearance (bit-identical to the
 /// scalar `candidate_stability_radius` over the screened leaf entries)
-/// capped by the integrated candidates' [`answer_stability_radius`].
-fn derive(view: &RoutedView<'_, '_>, p: Point, scratch: &mut EngineScratch) -> Derived {
+/// capped by the candidates' [`answer_stability_radius`].
+///
+/// With `certify`, the sign pass ([`certify_signs`]) decides the answer set
+/// when it can, and the quadrature runs only when it declines; the answer
+/// ids and the safe region come out identical either way.
+fn derive(
+    view: &RoutedView<'_, '_>,
+    p: Point,
+    scratch: &mut EngineScratch,
+    certify: bool,
+) -> Derived {
     // An unowned (out-of-domain) position gets the empty answer, no pin.
     let mut out = Derived {
         client: Client {
@@ -628,7 +676,7 @@ fn derive(view: &RoutedView<'_, '_>, p: Point, scratch: &mut EngineScratch) -> D
             shard: None,
             safe: None,
         },
-        answer: PnnAnswer::default(),
+        answer: Some(PnnAnswer::default()),
         clearance_reused: false,
     };
     let owned = view
@@ -641,25 +689,47 @@ fn derive(view: &RoutedView<'_, '_>, p: Point, scratch: &mut EngineScratch) -> D
     let index = engine.index();
     out.client.epoch = index.epoch();
     out.client.shard = Some(s);
-    let Some(d) = engine.derive_at(p, scratch) else {
+    let Some(screened) = engine.derive_at(p, scratch) else {
         return out;
     };
     let config = index.config();
-    let rho = d.clearance.min(answer_stability_radius(
-        p,
-        &d.candidates,
-        &d.answer,
-        config.integration_steps,
-    ));
-    let rho = config.apply_safe_region_floor(rho, index.domain());
-    out.client.answer_ids = d.answer.answer_ids();
+    let steps = config.integration_steps;
+    let signs = if certify {
+        certify_signs(&mut scratch.kernel, p, steps, &mut scratch.quad)
+    } else {
+        None
+    };
+    let (answer_ids, answer, rho) = match signs {
+        Some(signs) => {
+            let kernel = &scratch.kernel;
+            let mut ids: Vec<ObjectId> = signs
+                .iter()
+                .zip(kernel.ids())
+                .filter(|(sign, _)| sign.term().is_some())
+                .map(|(_, id)| *id)
+                .collect();
+            ids.sort_unstable();
+            let rho = answer_stability_radius(kernel, steps, |i| signs[i].term());
+            (ids, None, rho)
+        }
+        None => {
+            let answer = engine.integrate(p, &screened, scratch);
+            let positive: HashMap<ObjectId, f64> = answer.probabilities.iter().copied().collect();
+            let kernel = &scratch.kernel;
+            let rho =
+                answer_stability_radius(kernel, steps, |i| positive.get(&kernel.ids()[i]).copied());
+            (answer.answer_ids(), Some(answer), rho)
+        }
+    };
+    out.client.answer_ids = answer_ids;
+    out.answer = answer;
+    let rho = config.apply_safe_region_floor(screened.clearance.min(rho), index.domain());
     out.client.safe = (rho > 0.0).then_some(SafeRegion {
-        leaf: d.leaf,
+        leaf: screened.leaf,
         anchor: p,
         radius: rho,
     });
-    out.answer = d.answer;
-    out.clearance_reused = d.arena_reused;
+    out.clearance_reused = screened.arena_reused;
     out
 }
 
@@ -715,50 +785,198 @@ pub(crate) fn candidate_stability_radius(q: Point, entries: &[uv_data::ObjectEnt
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Per-candidate ring discretisation facts the stability analysis needs:
-/// the onset `a` (the smallest distance at which the candidate's distance
-/// cdf becomes positive: `min |d - s_k|` over positive-mass rings), the
-/// saturation `sat` (the largest `d + s_k`, beyond which every positive
-/// ring's cdf is 1) and the total ring mass (whether the clamp in
-/// [`uv_data::DistanceDistribution::cdf`] reaches an exact 1.0 at `sat`).
-/// `None` when the analysis would be fragile: a degenerate radius or a
-/// query (nearly) at the candidate's centre switch `ring_cdf` into its step
-/// branches, or no ring carries mass.
-fn ring_support(o: &UncertainObject, q: Point) -> Option<(f64, f64, f64)> {
-    let d = o.center().dist(q);
-    let radius = o.radius();
-    if radius <= 1e-9 || d <= 1e-9 {
-        return None;
-    }
-    let rings = o.pdf.num_bars().unwrap_or(DEFAULT_RINGS);
-    let masses = o.pdf.ring_masses(rings);
-    let mut onset = f64::INFINITY;
-    let mut sat = f64::NEG_INFINITY;
-    let mut mass = 0.0;
-    for (k, w) in masses.iter().enumerate() {
-        if *w <= 0.0 {
-            continue;
-        }
-        let s = radius * (k as f64 + 0.5) / rings as f64;
-        onset = onset.min((d - s).abs());
-        sat = sat.max(d + s);
-        mass += w;
-    }
-    if !onset.is_finite() || !sat.is_finite() {
-        return None;
-    }
-    Some((onset, sat, mass))
+/// A positive candidate whose integrated probability lies below this gets
+/// no safe region: the `p > 0.0` filter would sit too close.
+const STABLE_PROBABILITY: f64 = 1e-12;
+
+/// Ring discretisation facts of one candidate at the kernel arena's bound
+/// query, read off its ring table: the onset (`min |d - s_k|` over
+/// positive-mass rings, the smallest distance at which a ring's cdf can
+/// leave 0), the nearest outer reach (`min d + s_k` over the same rings),
+/// the saturation (`max d + s_k`, beyond which every positive ring's cdf is
+/// exactly 1), the summed mass of those rings (whether the cdf's clamp
+/// reaches an exact 1.0 at the saturation) and whether every mass is finite
+/// and non-negative (so zero-mass rings add exactly nothing).
+struct RingSupport {
+    onset: f64,
+    reach: f64,
+    sat: f64,
+    mass: f64,
+    clean: bool,
 }
 
-/// Largest radius around `q` within which the numerically integrated
-/// answer — the *set* of candidates retained with positive probability by
-/// [`uv_data::qualification_probabilities`] followed by the `p > 0.0`
-/// filter — provably cannot change, assuming the candidate list itself is
-/// frozen (see `candidate_stability_radius`; callers take the minimum of
-/// both radii).
+impl RingSupport {
+    fn of(kernel: &KernelArena, i: usize) -> Self {
+        let d = kernel.center_dist()[i];
+        let (radii, masses) = kernel.rings(i);
+        let mut support = RingSupport {
+            onset: f64::INFINITY,
+            reach: f64::INFINITY,
+            sat: f64::NEG_INFINITY,
+            mass: 0.0,
+            clean: true,
+        };
+        for (s, w) in radii.iter().zip(masses) {
+            support.clean &= w.is_finite() && *w >= 0.0;
+            if *w <= 0.0 {
+                continue;
+            }
+            support.onset = support.onset.min((d - s).abs());
+            support.reach = support.reach.min(d + s);
+            support.sat = support.sat.max(d + s);
+            support.mass += w;
+        }
+        support
+    }
+
+    /// The candidate's cdf is exactly 0.0 at `t`: `t` is at or below its
+    /// `dist_min`, or (clean masses) below its `dist_max` and at or below
+    /// every positive ring's onset, where every ring term is an exact zero.
+    /// Monotone: it holds at every `t' <= t` too.
+    fn zero_at(&self, t: f64, dist_min: f64, dist_max: f64) -> bool {
+        t <= dist_min || (self.clean && t < dist_max && t <= self.onset && t < self.reach)
+    }
+
+    /// The candidate's cdf is exactly 1.0 at `t`: `t` lies above its
+    /// `dist_min` and at or beyond its `dist_max`, or (clean masses summing
+    /// to at least 1) at or beyond its saturation, where the clamp returns
+    /// 1.0. Monotone: it holds at every `t' >= t` too.
+    fn one_at(&self, t: f64, dist_min: f64, dist_max: f64) -> bool {
+        t > dist_min && (t >= dist_max || (self.clean && self.mass >= 1.0 && t >= self.sat))
+    }
+}
+
+/// How the sign pass decided one candidate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Sign {
+    /// In the answer set: one of its integration terms, at least
+    /// [`STABLE_PROBABILITY`].
+    In(f64),
+    /// Out: its cdf is exactly 0.0 at every step end.
+    NeverRises,
+    /// Out: a competitor's cdf is exactly 1.0 from the step where its own
+    /// cdf could first rise.
+    Saturated,
+}
+
+impl Sign {
+    /// The certifying term of a candidate in the set.
+    fn term(self) -> Option<f64> {
+        match self {
+            Sign::In(term) => Some(term),
+            Sign::NeverRises | Sign::Saturated => None,
+        }
+    }
+}
+
+/// First `k` in `0..=steps` at which `from(k)` holds, for a predicate that
+/// holds from some index on; `steps + 1` when it never does.
+fn first_index(steps: usize, from: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, steps + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if from(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// The sign pass: decides, without the quadrature, which candidates held by
+/// `kernel` [`KernelArena::qualification_probabilities`] would give a
+/// positive probability at `q`, evaluating cdfs only at the few step ends
+/// that matter, in the quadrature's own arithmetic ([`uv_data::StepGrid::end`],
+/// [`KernelArena::eval_step`], [`QuadratureScratch::term`]).
+///
+/// Returns one [`Sign`] per candidate in arena order, or `None` when some
+/// candidate stays undecided (the caller then integrates):
+///
+/// * **in** when the term of the step where its cdf may first rise, or of
+///   the step after it, is at least [`STABLE_PROBABILITY`]. Terms are
+///   non-negative and summed in order, so the probability is at least that
+///   term — positive, and on the same side of the stability guard;
+/// * **out** when its cdf is provably 0.0 at every step end (it never
+///   rises, so every `df` is 0), or when it is provably 0.0 up to some step
+///   end from which a competitor's cdf is provably exactly 1.0: every
+///   earlier step has `df = 0`, and every later step's survival product
+///   holds the factor `1 - 1.0 = 0`. Its probability is exactly 0.0.
+///
+/// Step ends never decrease and both exact-value tests are monotone in the
+/// distance, so a binary search over the step ends finds where each test
+/// stops (or starts) holding.
+fn certify_signs(
+    kernel: &mut KernelArena,
+    q: Point,
+    steps: usize,
+    quad: &mut QuadratureScratch,
+) -> Option<Vec<Sign>> {
+    let n = kernel.len();
+    if n <= 1 {
+        // The quadrature gives a lone candidate probability 1.
+        return Some(vec![Sign::In(1.0); n]);
+    }
+    let Some(grid) = kernel.step_grid(q, steps) else {
+        // Degenerate bounds: a uniform share for every candidate.
+        return Some(vec![Sign::In(1.0 / n as f64); n]);
+    };
+    let kernel = &*kernel;
+    let (dist_min, dist_max) = (kernel.dist_min(), kernel.dist_max());
+    let supports: Vec<RingSupport> = (0..n).map(|i| RingSupport::of(kernel, i)).collect();
+    let first_rise: Vec<usize> = (0..n)
+        .map(|i| {
+            first_index(grid.steps, |k| {
+                !supports[i].zero_at(grid.end(k), dist_min[i], dist_max[i])
+            })
+        })
+        .collect();
+    let first_one: Vec<usize> = (0..n)
+        .map(|j| {
+            first_index(grid.steps, |k| {
+                supports[j].one_at(grid.end(k), dist_min[j], dist_max[j])
+            })
+        })
+        .collect();
+    let mut loaded = None;
+    let mut signs = Vec::with_capacity(n);
+    for (i, rise) in first_rise.iter().enumerate() {
+        // Step `from` runs from the last end where the cdf is provably 0 to
+        // the first where it may not be.
+        let from = rise.saturating_sub(1);
+        if *rise > grid.steps {
+            signs.push(Sign::NeverRises);
+            continue;
+        }
+        if *rise > 0 && (0..n).any(|j| j != i && first_one[j] <= from) {
+            signs.push(Sign::Saturated);
+            continue;
+        }
+        let term = (from..grid.steps.min(from + 2)).find_map(|k| {
+            if loaded != Some(k) {
+                kernel.eval_step(&grid, k, quad);
+                loaded = Some(k);
+            }
+            let term = quad.term(i);
+            (term >= STABLE_PROBABILITY).then_some(term)
+        })?;
+        signs.push(Sign::In(term));
+    }
+    Some(signs)
+}
+
+/// Largest radius around the kernel arena's bound query within which the
+/// numerically integrated answer — the *set* of candidates retained with
+/// positive probability by [`KernelArena::qualification_probabilities`]
+/// followed by the `p > 0.0` filter — provably cannot change, assuming the
+/// candidate list itself is frozen (see `candidate_stability_radius`;
+/// callers take the minimum of both radii). `positive(i)` is a lower bound
+/// of candidate `i`'s probability when that is positive (the probability
+/// itself, or the term [`certify_signs`] found; either decides the
+/// [`STABLE_PROBABILITY`] guard alike), `None` when it is zero.
 ///
 /// The analysis tracks, per candidate, which side of zero its *computed*
-/// probability landed on and bounds how far `q` can move before the
+/// probability landed on and bounds how far the query can move before the
 /// floating-point evaluation could land differently:
 ///
 /// * a candidate computed **positive** stays positive while some
@@ -775,23 +993,26 @@ fn ring_support(o: &UncertainObject, q: Point) -> Option<(f64, f64, f64)> {
 /// All quantities involved are 1-Lipschitz in `q` except the step width
 /// (`2/steps`-Lipschitz), giving the `/2` and `/4` divisors; `~1e-9`-scale
 /// guards absorb floating-point evaluation noise around each branch point.
-/// Probabilities within `1e-12` of the `p > 0.0` filter are treated as
-/// unstable. Any non-positive margin yields radius 0 — no safe region, so a
-/// pessimistic bound only ever costs a re-derivation.
+/// Probabilities below [`STABLE_PROBABILITY`] are treated as unstable. A
+/// degenerate radius, a query (nearly) at a candidate's centre — which
+/// switch `ring_cdf` into its step branches — a candidate without a
+/// positive-mass ring, or one with a negative or non-finite ring mass (the
+/// margins assume masses only add: a negative bar can hold a competitor's
+/// cdf below 1 past its saturation) make the analysis fragile, and like any
+/// non-positive margin yield radius 0: no safe region, so a pessimistic
+/// bound only ever costs a re-derivation.
 pub(crate) fn answer_stability_radius(
-    q: Point,
-    candidates: &[UncertainObject],
-    answer: &PnnAnswer,
+    kernel: &KernelArena,
     steps: usize,
+    positive: impl Fn(usize) -> Option<f64>,
 ) -> f64 {
-    let n = candidates.len();
+    let n = kernel.len();
     if n <= 1 {
         // Empty answers stay empty and a lone candidate keeps probability 1
         // for as long as the candidate list itself is stable.
         return f64::INFINITY;
     }
-    let dist_min: Vec<f64> = candidates.iter().map(|o| o.dist_min(q)).collect();
-    let dist_max: Vec<f64> = candidates.iter().map(|o| o.dist_max(q)).collect();
+    let (dist_min, dist_max) = (kernel.dist_min(), kernel.dist_max());
     let lower = dist_min.iter().copied().fold(f64::INFINITY, f64::min);
     let upper = dist_max.iter().copied().fold(f64::INFINITY, f64::min);
     if upper <= lower {
@@ -805,12 +1026,19 @@ pub(crate) fn answer_stability_radius(
     let dt = (upper - lower) / steps_eff;
     let guard = 1e-9 * (1.0 + upper.abs());
 
+    let center_dist = kernel.center_dist();
     let mut supports = Vec::with_capacity(n);
-    for o in candidates {
-        match ring_support(o, q) {
-            Some(s) => supports.push(s),
-            None => return 0.0,
+    for (i, (d, r)) in center_dist.iter().zip(kernel.radii()).enumerate() {
+        let support = RingSupport::of(kernel, i);
+        if *r <= 1e-9
+            || *d <= 1e-9
+            || !support.clean
+            || !support.onset.is_finite()
+            || !support.sat.is_finite()
+        {
+            return 0.0;
         }
+        supports.push(support);
     }
     // First exact-saturation point of each competitor's cdf: `dist_max`
     // always forces an exact 1.0; the ring-sum clamp does too, but only
@@ -818,21 +1046,19 @@ pub(crate) fn answer_stability_radius(
     // ~1 from below, so the clamp may never engage).
     let zero_sat: Vec<f64> = supports
         .iter()
-        .zip(&dist_max)
-        .map(|((_, sat, mass), dm)| if *mass >= 1.0 { *sat } else { *dm })
+        .zip(dist_max)
+        .map(|(s, dm)| if s.mass >= 1.0 { s.sat } else { *dm })
         .collect();
-    let positive: HashMap<ObjectId, f64> = answer.probabilities.iter().copied().collect();
 
-    for (i, o) in candidates.iter().enumerate() {
-        let (onset, _, _) = supports[i];
+    for (i, support) in supports.iter().enumerate() {
+        let onset = support.onset;
         // Keep the query far enough from the candidate's centre that
         // `ring_cdf` stays in its law-of-cosines branch everywhere in the
         // disk.
-        let d_center = o.center().dist(q);
-        rho = rho.min((d_center - 1e-9) / 2.0);
-        match positive.get(&o.id) {
+        rho = rho.min((center_dist[i] - 1e-9) / 2.0);
+        match positive(i) {
             Some(p) => {
-                if *p < 1e-12 {
+                if p < STABLE_PROBABILITY {
                     return 0.0;
                 }
                 // Competitors must all still be strictly unsaturated at the
@@ -841,7 +1067,7 @@ pub(crate) fn answer_stability_radius(
                     .iter()
                     .enumerate()
                     .filter(|(j, _)| *j != i)
-                    .map(|(_, (_, sat, _))| *sat)
+                    .map(|(_, s)| s.sat)
                     .fold(f64::INFINITY, f64::min)
                     - guard;
                 rho = rho.min((sat_lo.min(upper) - (onset + 2.0 * dt)) / 4.0);
@@ -870,9 +1096,25 @@ pub(crate) fn answer_stability_radius(
 mod tests {
     use super::*;
     use crate::{Method, UvConfig, UvSystem};
-    use uv_data::{qualification_probabilities, ObjectEntry, QueryBreakdown};
-    use uv_data::{Dataset, GeneratorConfig};
+    use uv_data::ObjectEntry;
+    use uv_data::{Dataset, GeneratorConfig, UncertainObject};
     use uv_geom::{Rect, EPS};
+
+    /// The quadrature's answer ids at `q` over `objects` and their
+    /// stability radius, as an integrating derivation computes them.
+    fn integrated(objects: &[UncertainObject], q: Point, steps: usize) -> (Vec<ObjectId>, f64) {
+        let mut kernel = KernelArena::new();
+        kernel.assign(objects.iter());
+        let mut probs =
+            kernel.qualification_probabilities(q, steps, &mut QuadratureScratch::default());
+        probs.retain(|(_, p)| *p > 0.0);
+        let positive: HashMap<ObjectId, f64> = probs.iter().copied().collect();
+        let rho =
+            answer_stability_radius(&kernel, steps, |i| positive.get(&kernel.ids()[i]).copied());
+        let mut ids: Vec<ObjectId> = positive.into_keys().collect();
+        ids.sort_unstable();
+        (ids, rho)
+    }
 
     fn fixture(n: usize) -> (Dataset, UvSystem) {
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(n));
@@ -1153,41 +1395,172 @@ mod tests {
             UncertainObject::with_gaussian(3, Point::new(50.0, 70.0), 10.0),
             UncertainObject::with_uniform(4, Point::new(45.0, 45.0), 4.0),
         ];
-        let refs: Vec<&UncertainObject> = objects.iter().collect();
-        let answer_at = |q: Point| {
-            let mut probs = qualification_probabilities(q, &refs, 60);
-            probs.retain(|(_, p)| *p > 0.0);
-            let mut ids: Vec<ObjectId> = probs.iter().map(|(id, _)| *id).collect();
-            ids.sort_unstable();
-            ids
-        };
         for gy in 0..12 {
             for gx in 0..12 {
                 let q = Point::new(8.0 * gx as f64 + 3.7, 8.0 * gy as f64 + 2.3);
-                let mut probs = qualification_probabilities(q, &refs, 60);
-                probs.retain(|(_, p)| *p > 0.0);
-                let answer = PnnAnswer {
-                    probabilities: probs,
-                    candidates_examined: refs.len(),
-                    breakdown: QueryBreakdown::default(),
-                };
-                let rho = answer_stability_radius(q, &objects, &answer, 60);
+                let (base, rho) = integrated(&objects, q, 60);
                 assert!(rho >= 0.0 && !rho.is_nan());
                 if rho <= 0.0 || !rho.is_finite() {
                     continue;
                 }
-                let base = answer.answer_ids();
                 for (dx, dy) in [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.7, -0.7)] {
                     let step = rho * 0.95;
                     let probe = Point::new(q.x + dx * step, q.y + dy * step);
                     assert_eq!(
-                        answer_at(probe),
+                        integrated(&objects, probe, 60).0,
                         base,
                         "answer set changed inside stability disk at {q:?} + {rho}*({dx},{dy})"
                     );
                 }
             }
         }
+    }
+
+    /// Candidate sets for the sign-pass oracle, each with its query points:
+    /// adversarial fixtures, then a deterministic sweep of 2–8 candidates
+    /// mixing uniform pdfs (ring masses summing to exactly 1, so the clamp
+    /// saturates) with Gaussian ones (summing to just below 1).
+    fn sign_pass_cases() -> Vec<(Vec<UncertainObject>, Vec<Point>)> {
+        let uniform = |id, x, y, r| UncertainObject::with_uniform(id, Point::new(x, y), r);
+        let gaussian = |id, x, y, r| UncertainObject::with_gaussian(id, Point::new(x, y), r);
+        let mut cases = vec![
+            // Co-located twins beside a third object.
+            vec![
+                uniform(1, 20.0, 20.0, 5.0),
+                uniform(2, 20.0, 20.0, 5.0),
+                gaussian(3, 27.0, 21.0, 4.0),
+            ],
+            // Zero radii: point objects next to regions.
+            vec![
+                uniform(1, 10.0, 0.0, 0.0),
+                gaussian(2, 14.0, 1.0, 3.0),
+                uniform(3, 2.0, 12.0, 0.0),
+                gaussian(4, 9.0, 9.0, 0.0),
+            ],
+            // A tight uniform object that saturates early, a far wide one.
+            vec![
+                uniform(1, 5.0, 0.0, 1.0),
+                gaussian(2, 9.0, 0.0, 6.0),
+                uniform(3, 0.0, 7.5, 2.0),
+                gaussian(4, -6.0, -6.0, 9.0),
+            ],
+        ];
+        let mut k = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |span: f64| {
+            k = k
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (k >> 11) as f64 / (1u64 << 53) as f64 * span
+        };
+        for set in 0..60 {
+            let n = 2 + set % 7;
+            let objects = (0..n as u32)
+                .map(|id| {
+                    let (x, y) = (next(40.0), next(40.0));
+                    let r = if next(1.0) < 0.15 {
+                        0.0
+                    } else {
+                        0.5 + next(9.5)
+                    };
+                    if next(1.0) < 0.5 {
+                        uniform(id, x, y, r)
+                    } else {
+                        gaussian(id, x, y, r)
+                    }
+                })
+                .collect();
+            cases.push(objects);
+        }
+        cases
+            .into_iter()
+            .map(|objects| {
+                let mut queries: Vec<Point> = (0..36)
+                    .map(|g| Point::new(-4.0 + 9.0 * (g % 6) as f64, -4.0 + 9.0 * (g / 6) as f64))
+                    .collect();
+                for o in &objects {
+                    let c = o.center();
+                    queries.push(c);
+                    queries.push(Point::new(c.x + 1e-10, c.y));
+                    queries.push(Point::new(c.x - 0.3, c.y + 0.2));
+                }
+                (objects, queries)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sign_pass_decides_exactly_the_quadrature_set_or_declines() {
+        // The oracle of the sign pass: wherever it decides, its answer set
+        // is the quadrature's and the radius built from its signs is the
+        // quadrature answer's radius, bit for bit. Every branch is reached.
+        let (mut decided_in, mut never_rises, mut saturated, mut declined) = (0, 0, 0, 0);
+        for (objects, queries) in sign_pass_cases() {
+            for q in queries {
+                for steps in [2, 7, 100] {
+                    let (ids, rho) = integrated(&objects, q, steps);
+                    let mut kernel = KernelArena::new();
+                    kernel.assign(objects.iter());
+                    let mut quad = QuadratureScratch::default();
+                    let Some(signs) = certify_signs(&mut kernel, q, steps, &mut quad) else {
+                        declined += 1;
+                        continue;
+                    };
+                    let mut certified: Vec<ObjectId> = signs
+                        .iter()
+                        .zip(kernel.ids())
+                        .filter(|(sign, _)| sign.term().is_some())
+                        .map(|(_, id)| *id)
+                        .collect();
+                    certified.sort_unstable();
+                    assert_eq!(certified, ids, "answer set at {q:?}, {steps} steps");
+                    let radius = answer_stability_radius(&kernel, steps, |i| signs[i].term());
+                    assert_eq!(
+                        radius.to_bits(),
+                        rho.to_bits(),
+                        "radius at {q:?}, {steps} steps"
+                    );
+                    for sign in signs {
+                        match sign {
+                            Sign::In(_) => decided_in += 1,
+                            Sign::NeverRises => never_rises += 1,
+                            Sign::Saturated => saturated += 1,
+                        }
+                    }
+                }
+            }
+        }
+        let reached = [decided_in, never_rises, saturated, declined];
+        assert!(
+            reached.iter().all(|count| *count > 0),
+            "in / never rises / saturated / declined: {reached:?}"
+        );
+    }
+
+    #[test]
+    fn certified_derivations_store_the_integrated_client() {
+        // Through the engine: at every point, a certifying derivation leaves
+        // the same answer ids and bit-identical safe region as one that
+        // integrates, and most of them certify.
+        let (ds, system) = fixture(300);
+        let subs = SubscriptionEngine::new(&system);
+        let view = RoutedView::over(&subs.engines, &subs.layout);
+        let mut scratch = EngineScratch::default();
+        let mut certified = 0;
+        let points = ds.query_points(400, 41);
+        for p in &points {
+            let fast = derive(&view, *p, &mut scratch, true);
+            let full = derive(&view, *p, &mut scratch, false);
+            assert!(full.answer.is_some());
+            certified += usize::from(fast.answer.is_none());
+            assert_eq!(fast.client.answer_ids, full.client.answer_ids, "{p:?}");
+            let radius = |d: &Derived| d.client.safe.as_ref().map(|s| (s.leaf, s.radius.to_bits()));
+            assert_eq!(radius(&fast), radius(&full), "safe region at {p:?}");
+        }
+        assert!(
+            certified * 2 > points.len(),
+            "{certified}/{} certified",
+            points.len()
+        );
     }
 
     #[test]
@@ -1379,15 +1752,54 @@ mod tests {
 
     #[test]
     fn ring_support_guards_degenerate_geometry() {
+        // A query at a candidate's centre, or a zero-radius candidate inside
+        // the integration window, leaves no safe region.
         let q = Point::new(0.0, 0.0);
+        let other = UncertainObject::with_uniform(9, Point::new(4.0, 0.0), 2.0);
         let at_center = UncertainObject::with_uniform(1, q, 5.0);
-        assert!(ring_support(&at_center, q).is_none());
         let degenerate = UncertainObject::with_uniform(2, Point::new(3.0, 0.0), 0.0);
-        assert!(ring_support(&degenerate, q).is_none());
+        for o in [at_center, degenerate] {
+            let (ids, rho) = integrated(&[o, other.clone()], q, 100);
+            assert!(!ids.is_empty());
+            assert_eq!(rho, 0.0);
+        }
         let fine = UncertainObject::with_uniform(3, Point::new(10.0, 0.0), 2.0);
-        let (onset, sat, mass) = ring_support(&fine, q).unwrap();
-        assert!(onset >= fine.dist_min(q) && sat <= fine.dist_max(q));
-        assert!((0.9..=1.1).contains(&mass));
+        let mut kernel = KernelArena::new();
+        kernel.assign([&fine]);
+        kernel.bind_query(q);
+        let support = RingSupport::of(&kernel, 0);
+        assert!(support.onset >= fine.dist_min(q) && support.sat <= fine.dist_max(q));
+        assert!(support.reach > support.onset && support.clean);
+        assert!((0.9..=1.1).contains(&support.mass));
+    }
+
+    #[test]
+    fn negative_ring_masses_leave_no_safe_region() {
+        // A histogram bar below zero keeps the competitor's cdf below 1.0
+        // past its positive rings' saturation (masses 1.0 - 0.3), so a disk
+        // that trusted the saturation would contain points where the far
+        // candidate enters the answer. Such candidates get no disk at all.
+        let mut bars = vec![0.0; 20];
+        bars[0] = -0.3;
+        bars[19] = 1.0;
+        let near = UncertainObject::new(
+            1,
+            Point::new(10.0, 0.0),
+            2.0,
+            uv_data::Pdf::Histogram { bars },
+        );
+        for k in 0..40 {
+            // The far candidate's outermost ring reaches `onset` from the
+            // query; around 12.0 it meets the integration's upper bound.
+            let onset = 11.98 + 0.001 * k as f64;
+            let far = UncertainObject::with_uniform(2, Point::new(-(onset + 39.0), 0.0), 40.0);
+            let objects = [near.clone(), far];
+            let (ids, rho) = integrated(&objects, Point::new(0.0, 0.0), 100);
+            assert!(
+                rho == 0.0 || rho == f64::INFINITY,
+                "onset {onset}: radius {rho} for {ids:?}"
+            );
+        }
     }
 
     #[test]

@@ -31,12 +31,81 @@ use uv_geom::{Point, EPS};
 /// [`KernelArena::qualification_probabilities`]: the per-step cdf vectors the
 /// scalar reference allocates afresh (`2 × steps` allocations per query)
 /// live here instead and are recycled.
+///
+/// Between steps it holds one integration step of the bound candidates —
+/// their cdfs at both step ends and the trapezoid midpoints — from which
+/// [`term`](Self::term) computes a candidate's summand.
 #[derive(Debug, Clone, Default)]
 pub struct QuadratureScratch {
     cdf_lo: Vec<f64>,
     cdf_hi: Vec<f64>,
     cdf_mid: Vec<f64>,
     probs: Vec<f64>,
+}
+
+impl QuadratureScratch {
+    /// Trapezoidal survival inputs of the held step, exactly as the scalar
+    /// reference: every cdf averaged over the two step ends.
+    fn fill_mid(&mut self) {
+        self.cdf_mid.clear();
+        self.cdf_mid.extend(
+            self.cdf_lo
+                .iter()
+                .zip(&self.cdf_hi)
+                .map(|(lo, hi)| 0.5 * (lo + hi)),
+        );
+    }
+
+    /// Candidate `i`'s summand `df × prod` over the held step — the term
+    /// the quadrature adds to its probability: `df` is the rise of its cdf
+    /// over the step, `prod` the survival product of every other candidate
+    /// in candidate order, cut short once it reaches zero. `0.0` when the
+    /// cdf does not rise (the quadrature adds nothing then). Never negative,
+    /// so the probability is at least any one of its terms.
+    pub fn term(&self, i: usize) -> f64 {
+        let df = (self.cdf_hi[i] - self.cdf_lo[i]).max(0.0);
+        if df == 0.0 {
+            return 0.0;
+        }
+        let mut prod = 1.0;
+        for (j, c) in self.cdf_mid.iter().enumerate() {
+            if j != i {
+                prod *= 1.0 - c;
+                if prod == 0.0 {
+                    break;
+                }
+            }
+        }
+        df * prod
+    }
+}
+
+/// The quadrature's integration grid for one bound query: `steps` steps of
+/// width `dt` from `lower = min_i dist_min` towards `min_i dist_max`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepGrid {
+    /// Smallest `dist_min` over the candidates: the first step end.
+    pub lower: f64,
+    /// Step width: the distance from `lower` to the smallest `dist_max`
+    /// (`d_minmax`) over `steps`.
+    pub dt: f64,
+    /// Number of integration steps (at least 2).
+    pub steps: usize,
+}
+
+impl StepGrid {
+    /// Step end `k` for `0 ≤ k ≤ steps`, in the quadrature's own arithmetic:
+    /// `lower` for `k = 0`, else the end of step `k − 1`,
+    /// `(lower + (k − 1)·dt) + dt`. Every operation rounds monotonically, so
+    /// the ends never decrease in `k`.
+    #[inline]
+    pub fn end(&self, k: usize) -> f64 {
+        if k == 0 {
+            return self.lower;
+        }
+        let t0 = self.lower + (k - 1) as f64 * self.dt;
+        t0 + self.dt
+    }
 }
 
 /// A candidate set flattened onto struct-of-arrays storage.
@@ -86,6 +155,38 @@ impl KernelArena {
     #[inline]
     pub fn ids(&self) -> &[ObjectId] {
         &self.ids
+    }
+
+    /// Region radii in arena order.
+    #[inline]
+    pub fn radii(&self) -> &[f64] {
+        &self.radius
+    }
+
+    /// Ring table of candidate `i`: the representative ring radii and their
+    /// probability masses, in ring order.
+    #[inline]
+    pub fn rings(&self, i: usize) -> (&[f64], &[f64]) {
+        let span = self.ring_start[i]..self.ring_start[i + 1];
+        (&self.ring_radius[span.clone()], &self.ring_mass[span])
+    }
+
+    /// `dist(c_i, q)` of the bound query, in arena order.
+    #[inline]
+    pub fn center_dist(&self) -> &[f64] {
+        &self.center_dist
+    }
+
+    /// `dist_min(q, O_i)` of the bound query, in arena order.
+    #[inline]
+    pub fn dist_min(&self) -> &[f64] {
+        &self.dist_min
+    }
+
+    /// `dist_max(q, O_i)` of the bound query, in arena order.
+    #[inline]
+    pub fn dist_max(&self) -> &[f64] {
+        &self.dist_max
     }
 
     /// Drops all candidates but keeps the allocations.
@@ -150,8 +251,8 @@ impl KernelArena {
         }
     }
 
-    /// Distance cdf of candidate `i` at `t` — the arena form of
-    /// [`DistanceDistribution::cdf`], same guard order, same ring
+    /// Distance cdf of candidate `i` at `t` for the bound query — the arena
+    /// form of [`DistanceDistribution::cdf`], same guard order, same ring
     /// accumulation order.
     ///
     /// [`DistanceDistribution::cdf`]: crate::probability::DistanceDistribution::cdf
@@ -180,6 +281,32 @@ impl KernelArena {
         }
     }
 
+    /// Binds `q` ([`bind_query`](Self::bind_query)) and returns the
+    /// quadrature's integration grid of `steps` steps (at least 2), or
+    /// `None` when the bounds are degenerate and
+    /// [`qualification_probabilities`](Self::qualification_probabilities)
+    /// splits the mass uniformly instead.
+    pub fn step_grid(&mut self, q: Point, steps: usize) -> Option<StepGrid> {
+        let steps = steps.max(2);
+        self.bind_query(q);
+        let lower = self.dist_min.iter().copied().fold(f64::INFINITY, f64::min);
+        let upper = self.dist_max.iter().copied().fold(f64::INFINITY, f64::min);
+        if upper <= lower || !upper.is_finite() || !lower.is_finite() {
+            return None;
+        }
+        let dt = (upper - lower) / steps as f64;
+        Some(StepGrid { lower, dt, steps })
+    }
+
+    /// Loads step `k` of `grid` into `scratch`: every candidate's cdf at
+    /// both step ends and the trapezoid midpoints, as the quadrature holds
+    /// them when it integrates that step.
+    pub fn eval_step(&self, grid: &StepGrid, k: usize, scratch: &mut QuadratureScratch) {
+        self.cdf_batch(grid.end(k), &mut scratch.cdf_lo);
+        self.cdf_batch(grid.end(k + 1), &mut scratch.cdf_hi);
+        scratch.fill_mid();
+    }
+
     /// Qualification probability of every held candidate for being the
     /// nearest neighbour of `q` — bit-identical to
     /// [`crate::probability::qualification_probabilities`] over the same
@@ -198,50 +325,21 @@ impl KernelArena {
         if self.len() == 1 {
             return vec![(self.ids[0], 1.0)];
         }
-        let steps = steps.max(2);
-        self.bind_query(q);
-
-        let lower = self.dist_min.iter().copied().fold(f64::INFINITY, f64::min);
-        let upper = self.dist_max.iter().copied().fold(f64::INFINITY, f64::min);
-        if upper <= lower || !upper.is_finite() || !lower.is_finite() {
+        let Some(grid) = self.step_grid(q, steps) else {
             let share = 1.0 / self.len() as f64;
             return self.ids.iter().map(|id| (*id, share)).collect();
-        }
+        };
 
-        let dt = (upper - lower) / steps as f64;
         let n = self.len();
         scratch.probs.clear();
         scratch.probs.resize(n, 0.0);
-        self.cdf_batch(lower, &mut scratch.cdf_lo);
-        for step in 0..steps {
-            let t0 = lower + step as f64 * dt;
-            let t1 = t0 + dt;
-            self.cdf_batch(t1, &mut scratch.cdf_hi);
-            // Trapezoidal survival factors, exactly as the scalar reference:
-            // cdf averaged at the step boundaries.
-            scratch.cdf_mid.clear();
-            scratch.cdf_mid.extend(
-                scratch
-                    .cdf_lo
-                    .iter()
-                    .zip(&scratch.cdf_hi)
-                    .map(|(lo, hi)| 0.5 * (lo + hi)),
-            );
+        self.cdf_batch(grid.end(0), &mut scratch.cdf_lo);
+        for step in 0..grid.steps {
+            self.cdf_batch(grid.end(step + 1), &mut scratch.cdf_hi);
+            scratch.fill_mid();
             for i in 0..n {
-                let df = (scratch.cdf_hi[i] - scratch.cdf_lo[i]).max(0.0);
-                if df == 0.0 {
-                    continue;
-                }
-                let mut prod = 1.0;
-                for (j, c) in scratch.cdf_mid.iter().enumerate() {
-                    if j != i {
-                        prod *= 1.0 - c;
-                        if prod == 0.0 {
-                            break;
-                        }
-                    }
-                }
-                scratch.probs[i] += df * prod;
+                let term = scratch.term(i);
+                scratch.probs[i] += term;
             }
             std::mem::swap(&mut scratch.cdf_lo, &mut scratch.cdf_hi);
         }

@@ -31,7 +31,9 @@ pub mod probability;
 pub mod stats;
 pub mod storage;
 
-pub use arena::{EntryArena, KernelArena, QuadratureScratch, ScreenResult, ScreenScratch};
+pub use arena::{
+    EntryArena, KernelArena, QuadratureScratch, ScreenResult, ScreenScratch, StepGrid,
+};
 pub use generator::{Dataset, DatasetKind, GeneratorConfig};
 pub use object::{ObjectId, UncertainObject};
 pub use pdf::{Pdf, DEFAULT_HISTOGRAM_BARS};

@@ -229,19 +229,24 @@ impl ObjectStore {
 
     /// Retrieves the full record of `id`, charging one page read if its page
     /// is not in `touched_pages` yet (which is updated).
+    ///
+    /// The page read is the I/O the paper charges; the object itself comes
+    /// from the in-memory map, which is lossless where a page record keeps
+    /// at most 20 histogram bars. Debug builds check that the page holds a
+    /// record with the id.
     pub fn fetch(
         &self,
         id: ObjectId,
         touched_pages: &mut std::collections::HashSet<u32>,
-    ) -> Option<UncertainObject> {
+    ) -> Option<&UncertainObject> {
         let page = *self.directory.get(&id)?;
         if touched_pages.insert(page.0) {
             let bytes = self.store.read(page);
-            // Decode to honour the disk format (result matches the cache).
-            let decoded = decode_page(&bytes);
-            debug_assert!(decoded.iter().any(|o| o.id == id));
+            debug_assert!(bytes
+                .chunks_exact(OBJECT_RECORD_SIZE)
+                .any(|rec| record_id(rec) == id));
         }
-        self.objects.get(&id).cloned()
+        self.objects.get(&id)
     }
 
     /// Direct, I/O-free access used at construction time.
@@ -400,6 +405,9 @@ fn encode_object(o: &UncertainObject, buf: &mut Vec<u8>) {
     buf.resize(start + OBJECT_RECORD_SIZE, 0);
 }
 
+/// Decodes every record of an object page: the on-disk format's reader,
+/// which its round-trip test exercises.
+#[cfg(test)]
 fn decode_page(bytes: &[u8]) -> Vec<UncertainObject> {
     bytes
         .chunks_exact(OBJECT_RECORD_SIZE)
@@ -464,7 +472,7 @@ mod tests {
 
         let mut touched = HashSet::new();
         let fetched = store.fetch(13, &mut touched).unwrap();
-        assert_eq!(fetched, objects[13]);
+        assert_eq!(fetched, &objects[13]);
         assert_eq!(page_store.io().reads, 1);
 
         // Fetching another object on the same page does not re-read it.
@@ -534,7 +542,7 @@ mod tests {
         for o in &live {
             let mut touched = HashSet::new();
             let fetched = store.fetch(o.id, &mut touched).unwrap();
-            assert_eq!(&fetched, o, "object {} fetched a stale record", o.id);
+            assert_eq!(fetched, o, "object {} fetched a stale record", o.id);
             assert_eq!(store.get(o.id), Some(o));
             assert_eq!(
                 store.ptr_of(o.id),
@@ -627,7 +635,7 @@ mod tests {
         for o in objects.iter().chain([&fresh(900), &fresh(901)]) {
             if let Some(live) = store.get(o.id) {
                 let mut touched = HashSet::new();
-                assert_eq!(store.fetch(o.id, &mut touched).as_ref(), Some(live));
+                assert_eq!(store.fetch(o.id, &mut touched), Some(live));
             }
         }
     }
@@ -666,7 +674,7 @@ mod tests {
         for o in &live {
             assert_eq!(back.ptr_of(o.id), store.ptr_of(o.id), "pointer of {}", o.id);
             let mut touched = HashSet::new();
-            assert_eq!(back.fetch(o.id, &mut touched).as_ref(), Some(o));
+            assert_eq!(back.fetch(o.id, &mut touched), Some(o));
         }
         // The restored pages with room take inserts like the original's.
         let mut back = back;

@@ -142,8 +142,7 @@ pub fn pnn_query(
     breakdown.object_io = objects.store().io().reads - object_io_before;
 
     let t_prob = Instant::now();
-    let refs: Vec<_> = fetched.iter().collect();
-    let mut probabilities = qualification_probabilities(q, &refs, integration_steps);
+    let mut probabilities = qualification_probabilities(q, &fetched, integration_steps);
     probabilities.retain(|(_, p)| *p > 0.0);
     breakdown.probability = t_prob.elapsed();
 

@@ -204,6 +204,10 @@ fn main() {
         sub_stats.hit_rate() * 100.0,
         pushed
     );
+    println!(
+        "  {} misses re-derived, {} of them certified without the quadrature",
+        sub_stats.derivations, sub_stats.certified
+    );
     let table = subs.into_table();
 
     // --- Live infrastructure churn: join / leave / move between ticks. ------
