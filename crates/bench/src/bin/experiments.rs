@@ -439,6 +439,20 @@ fn main() {
     if wants("snapshot") {
         let report = snapshot::snapshot_experiment(&scale);
         verification_failed |= !report.verified;
+        // A load that is not much faster than the build it replaces has
+        // lost the point of a snapshot; judged here, on a release build,
+        // rather than in a unit test.
+        let slow_load = report.speedup < snapshot::MIN_LOAD_SPEEDUP;
+        verification_failed |= slow_load;
+        if slow_load {
+            eprintln!(
+                "snapshot load only {:.1}x faster than a cold build (build {:.1} ms, load {:.1} ms; need {:.0}x)",
+                report.speedup,
+                report.build_ms,
+                report.load_ms,
+                snapshot::MIN_LOAD_SPEEDUP
+            );
+        }
         out.table(
             "snapshot",
             "Snapshot persistence: build once, load many",
@@ -514,7 +528,9 @@ fn main() {
         );
     }
     if verification_failed {
-        eprintln!("verification FAILED: a maintained/loaded state diverged from its oracle");
+        eprintln!(
+            "verification FAILED: a maintained/loaded state diverged from its oracle, or a gate reported above failed"
+        );
         std::process::exit(1);
     }
 }

@@ -20,15 +20,18 @@
 //! to repair the partition locally while staying bit-identical to a full
 //! rebuild. Member lists are kept in ascending id order for the same reason.
 
+#![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
+
 use crate::cell::build_exact_cell;
 use crate::config::UvConfig;
 use crate::crobjects::{derive_cr_objects_with, UpdateSensitivity};
 use crate::index::{check_overlap, GridNode, UvIndex};
+use crate::pool::{fan_out, parallel_workers};
 use crate::router::{derive_table, DerivationReport};
 use crate::stats::{ConstructionStats, PruneStats};
 use crate::update::RefTable;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uv_data::{ObjectEntry, ObjectId, ObjectStore, UncertainObject};
 use uv_geom::{Circle, ClipScratch, Rect};
@@ -167,20 +170,6 @@ pub(crate) fn entries_of(
         .collect()
 }
 
-impl PerObject {
-    /// The slot of `id` before its derivation has run.
-    fn pending(id: ObjectId) -> Self {
-        Self {
-            id,
-            reference_ids: Vec::new(),
-            sensitivity: UpdateSensitivity::always_affected(),
-            prune: PruneStats::default(),
-            prune_time: Duration::ZERO,
-            refine_time: Duration::ZERO,
-        }
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn derive_one(
     subject: &UncertainObject,
@@ -257,15 +246,15 @@ pub(crate) fn derive_one(
     }
 }
 
-/// Derives the reference objects of `subjects` (a subset of the dataset),
-/// fanning out over threads when the configuration allows and the subset is
-/// large enough to amortise the spawns. Called only by [`crate::router`]:
-/// over every object for a full table, over the affected set per batch.
+/// Derives the reference objects of `subjects` (a subset of the dataset)
+/// over the crate's worker pool when the configuration is parallel. Called
+/// only by [`crate::router`]: over every object for a full table, over the
+/// affected set per batch.
 ///
-/// Workers take subjects one at a time from a shared cursor, so a thread
-/// that drew cheap derivations keeps going while another finishes an
-/// expensive one, and each writes its result into the subject's own slot:
-/// the output is in subject order, identical to a sequential pass.
+/// Participants claim subjects one at a time, so a thread that drew cheap
+/// derivations keeps going while another finishes an expensive one, and
+/// the results come back in subject order: the output is identical to a
+/// sequential pass.
 pub(crate) fn derive_subset(
     subjects: &[&UncertainObject],
     objects: &[UncertainObject],
@@ -275,36 +264,13 @@ pub(crate) fn derive_subset(
     config: &UvConfig,
     method: Method,
 ) -> Vec<PerObject> {
-    let derive = |o: &UncertainObject, scratch: &mut ClipScratch| {
-        derive_one(o, objects, by_id, rtree, domain, config, method, scratch)
-    };
-    if !(config.parallel && subjects.len() > 64) {
-        let mut scratch = ClipScratch::default();
-        return subjects.iter().map(|o| derive(o, &mut scratch)).collect();
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(subjects.len());
-    let mut results: Vec<PerObject> = subjects.iter().map(|o| PerObject::pending(o.id)).collect();
-    let cursor = Mutex::new(subjects.iter().zip(results.iter_mut()));
-    let work = || {
-        let mut scratch = ClipScratch::default();
-        loop {
-            let next = cursor.lock().expect("a derivation worker panicked").next();
-            let Some((subject, slot)) = next else {
-                return;
-            };
-            *slot = derive(subject, &mut scratch);
-        }
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(work);
-        }
-        work();
-    });
-    results
+    fan_out(
+        parallel_workers(config),
+        subjects.to_vec(),
+        |scratch: &mut ClipScratch, o| {
+            derive_one(o, objects, by_id, rtree, domain, config, method, scratch)
+        },
+    )
 }
 
 /// Read-only context for overlap tests and leaf-page construction: current
@@ -594,6 +560,7 @@ pub(crate) fn make_leaf(
 }
 
 #[cfg(test)]
+#[allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use uv_data::{Dataset, GeneratorConfig};

@@ -28,10 +28,15 @@ pub struct UvConfig {
     pub split_threshold: f64,
     /// Number of integration steps of qualification-probability computation.
     pub integration_steps: usize,
-    /// Derive cr-objects for different objects on multiple threads.
+    /// Fan derivations, shard builds, update reconciles and routed batches
+    /// (one job per shard) out over the crate's worker pool, which runs on
+    /// at most `available_parallelism()` threads; `false` keeps them on the
+    /// calling thread.
     pub parallel: bool,
-    /// Worker threads used by [`crate::engine::QueryEngine::pnn_batch`];
-    /// `0` means one worker per available CPU.
+    /// Most threads [`crate::engine::QueryEngine::pnn_batch`] and
+    /// subscription misses fan out over, the calling thread included; `0`
+    /// means one per available CPU. An upper bound: the worker pool runs on
+    /// at most `available_parallelism()` threads, and `1` never touches it.
     pub query_workers: usize,
     /// Enable the per-leaf memoization cache of the query engine: queries
     /// landing in the same leaf reuse the page read and the region-level
@@ -282,7 +287,7 @@ impl UvConfig {
         }
     }
 
-    /// The effective query-engine worker count: `query_workers`, with `0`
+    /// The query-engine worker bound: `query_workers`, with `0`
     /// resolved to the number of available CPUs.
     pub fn resolved_query_workers(&self) -> usize {
         if self.query_workers == 0 {

@@ -7,10 +7,12 @@
 //! serving layer:
 //!
 //! * **Batched execution** — [`QueryEngine::pnn_batch`] fans a batch out over
-//!   the crate's scoped worker pool (`fan_out`, shared with the subscription
-//!   engine and the shard layer). The storage layer is already thread-safe
-//!   ([`uv_store::PageStore`] uses a reader-writer lock, its I/O counters are
-//!   atomic), so workers share the index and object store without copying.
+//!   the crate's one worker pool: process-wide helper threads, parked while
+//!   idle, shared with the subscription engine, the shard layer and the
+//!   derivations (crate-internal `pool::fan_out`). The storage layer is
+//!   already thread-safe ([`uv_store::PageStore`] uses a reader-writer lock,
+//!   its I/O counters are atomic), so workers share the index and object
+//!   store without copying.
 //! * **Per-leaf memoization** — queries landing in the same leaf reuse the
 //!   leaf page read *and* a region-level `d_minmax` candidate screen (see
 //!   `prescreen_entries`); both are computed once per leaf and are sound,
@@ -35,8 +37,8 @@
 
 #![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
-use crate::config::UvConfig;
 use crate::index::UvIndex;
+use crate::pool::{fan_out, parallel_workers};
 use crate::shard::Layout;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,8 +95,9 @@ impl LeafArenaRef<'_> {
 
 /// Per-worker scratch threaded through the batched kernels: screen
 /// distances, candidate indices, the object I/O page set, the candidate
-/// [`KernelArena`] and its quadrature buffers. One instance serves a whole
-/// chunk of queries; nothing in it survives a query except its allocations.
+/// [`KernelArena`] and its quadrature buffers. One instance serves every
+/// query one participant of a fan-out claims; nothing in it survives a
+/// query except its allocations.
 #[derive(Debug, Default)]
 pub(crate) struct EngineScratch {
     screen: uv_data::ScreenScratch,
@@ -192,56 +195,6 @@ pub(crate) fn prescreen_entries(mut entries: Vec<ObjectEntry>, region: &Rect) ->
     entries
 }
 
-/// The crate's one worker pool: runs `f` over `items` on up to `workers`
-/// scoped threads, each taking one contiguous chunk of
-/// `items.len().div_ceil(workers)` items with its own scratch `S`, and
-/// returns the results in item order. With one worker, or at most one item,
-/// everything runs on the calling thread over one scratch. A worker's panic
-/// is re-raised on the caller with its original payload.
-pub(crate) fn fan_out<T: Send, S: Default, R: Send>(
-    workers: usize,
-    items: Vec<T>,
-    f: impl Fn(&mut S, T) -> R + Sync,
-) -> Vec<R> {
-    let run = |chunk: Vec<T>| {
-        let mut scratch = S::default();
-        chunk
-            .into_iter()
-            .map(|item| f(&mut scratch, item))
-            .collect::<Vec<R>>()
-    };
-    if workers <= 1 || items.len() <= 1 {
-        return run(items);
-    }
-    let chunk_size = items.len().div_ceil(workers);
-    let mut items = items.into_iter();
-    let chunks = std::iter::from_fn(|| {
-        let chunk: Vec<T> = items.by_ref().take(chunk_size).collect();
-        (!chunk.is_empty()).then_some(chunk)
-    });
-    std::thread::scope(|scope| {
-        let run = &run;
-        let handles: Vec<_> = chunks
-            .map(|chunk| scope.spawn(move || run(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
-}
-
-/// Pool workers of a per-shard fan-out: a thread per job when
-/// `config.parallel`, the calling thread otherwise. Shard builds, routed
-/// batches, update reconciliation and reshard rebuilds all use it.
-pub(crate) fn shard_workers(config: &UvConfig) -> usize {
-    if config.parallel {
-        usize::MAX
-    } else {
-        1
-    }
-}
-
 /// A concurrent batched PNN query engine over a shared read-only
 /// [`UvIndex`] — the serving layer the `docs/PAPER_MAP.md` Section V-A row
 /// describes alongside the paper's single-point lookup.
@@ -300,7 +253,8 @@ impl<'a> QueryEngine<'a> {
         self
     }
 
-    /// Number of worker threads `pnn_batch` fans out over.
+    /// Most threads `pnn_batch` fans out over, the calling thread
+    /// included; the worker pool caps it at `available_parallelism()`.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -329,7 +283,7 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// [`QueryEngine::pnn`] with caller-provided kernel scratch, so a worker
-    /// serving a chunk of queries reuses its buffers across the whole chunk.
+    /// reuses its buffers across every query it claims.
     pub(crate) fn pnn_with(&self, q: Point, scratch: &mut EngineScratch) -> PnnAnswer {
         self.derive_at(q, scratch)
             .map_or_else(PnnAnswer::default, |s| self.integrate(q, &s, scratch))
@@ -573,8 +527,9 @@ impl<'v, 'a> RoutedView<'v, 'a> {
     }
 
     /// Answers a batch in query order: queries are grouped by owner, one
-    /// job per group fans out over [`shard_workers`], and each group is
-    /// answered by its shard's [`QueryEngine::pnn_batch`].
+    /// job per group fans out over the pool when the configuration is
+    /// parallel, and each group is answered by its shard's
+    /// [`QueryEngine::pnn_batch`], itself a fan-out over the same pool.
     pub(crate) fn pnn_batch(&self, queries: &[Point]) -> Vec<PnnAnswer> {
         let mut groups: Vec<Vec<(usize, Point)>> = vec![Vec::new(); self.engines.len()];
         for (i, q) in queries.iter().enumerate() {
@@ -591,7 +546,7 @@ impl<'v, 'a> RoutedView<'v, 'a> {
         let workers = self
             .engines
             .first()
-            .map_or(1, |e| shard_workers(e.index.config()));
+            .map_or(1, |e| parallel_workers(e.index.config()));
         let results = fan_out(workers, jobs, |(), (engine, group)| {
             let points: Vec<Point> = group.iter().map(|(_, q)| *q).collect();
             (group, engine.pnn_batch(&points))

@@ -11,7 +11,9 @@ pub enum UvError {
     UnknownObject(u32),
     /// An insert used an object id that is already live.
     DuplicateObject(u32),
-    /// An object has non-finite coordinates or a negative radius.
+    /// An object has non-finite coordinates, a negative or non-finite
+    /// radius, or a histogram pdf with no bars or a negative or non-finite
+    /// bar.
     InvalidObject(u32),
     /// A subscription client id was not found in the subscription table.
     UnknownClient(u64),
@@ -47,7 +49,7 @@ impl fmt::Display for UvError {
             UvError::InvalidObject(id) => {
                 write!(
                     f,
-                    "object {id} has a non-finite position or negative radius"
+                    "object {id} has a non-finite position, a negative radius or an invalid pdf"
                 )
             }
             UvError::UnknownClient(id) => write!(f, "unknown subscription client id {id}"),

@@ -88,6 +88,7 @@ pub mod engine;
 pub mod error;
 pub mod index;
 pub mod pattern;
+mod pool;
 pub mod region;
 pub mod router;
 pub mod shard;

@@ -70,7 +70,8 @@ use crate::config::UvConfig;
 use crate::crobjects::ChangeImpact;
 use crate::snapshot::{read_ref_table, write_ref_table};
 use crate::update::{
-    grow_domain, validate_object, ObjectState, RefTable, UpdateBatch, UpdateOp, UpdateStats,
+    grow_domain, validate_object, validate_objects, ObjectState, RefTable, UpdateBatch, UpdateOp,
+    UpdateStats,
 };
 use crate::UvError;
 use std::collections::{HashMap, HashSet};
@@ -262,8 +263,9 @@ impl DerivationRouter {
     }
 
     /// Builds a standalone router over `objects`: validates the
-    /// configuration, packs an index-only R-tree and derives every object's
-    /// reference set and sensitivity.
+    /// configuration and the objects (as [`crate::UvSystem::build`] does),
+    /// packs an index-only R-tree and derives every object's reference set
+    /// and sensitivity.
     pub fn build(
         objects: Vec<UncertainObject>,
         domain: Rect,
@@ -271,6 +273,7 @@ impl DerivationRouter {
         config: UvConfig,
     ) -> Result<Self, UvError> {
         config.validate()?;
+        validate_objects(&objects)?;
         let rtree = RTree::build_index_only(&objects, Arc::new(PageStore::new()));
         Ok(Self::derive(objects, domain, rtree, method, config).0)
     }

@@ -100,7 +100,8 @@
 
 use crate::builder::{mbcs_of, Method};
 use crate::config::UvConfig;
-use crate::engine::{fan_out, shard_workers, QueryEngine, RoutedView, TrajectoryStep};
+use crate::engine::{QueryEngine, RoutedView, TrajectoryStep};
+use crate::pool::{fan_out, parallel_workers};
 use crate::router::{Change, DerivationReport, DerivationRouter, NetDiff};
 use crate::snapshot::{FORMAT_VERSION, SECTION_OVERHEAD};
 use crate::system::UvSystem;
@@ -506,7 +507,7 @@ fn shard_members(router: &DerivationRouter, rects: &[Rect]) -> Vec<Vec<Uncertain
 }
 
 /// Indexes one shard system per member set from `router`'s table — grid
-/// construction only, on scoped threads when the configuration allows.
+/// construction only, over the worker pool when the configuration allows.
 /// Every shard indexes the *full* domain so `locate_leaf` works for any
 /// point its rectangle can receive. `mbcs` must cover every live object.
 fn build_shard_systems(
@@ -514,9 +515,11 @@ fn build_shard_systems(
     router: &DerivationRouter,
     mbcs: &HashMap<ObjectId, Circle>,
 ) -> Vec<UvSystem> {
-    fan_out(shard_workers(&router.config), member_sets, |(), members| {
-        UvSystem::routed(members, router, mbcs)
-    })
+    fan_out(
+        parallel_workers(&router.config),
+        member_sets,
+        |(), members| UvSystem::routed(members, router, mbcs),
+    )
 }
 
 /// One shard's share of a routed batch, every list ascending.
@@ -670,9 +673,10 @@ impl ShardedUvSystem {
     /// Builds the sharded system: the derivation-only router over the full
     /// dataset (the build's only derivation), then the `config.num_shards ×
     /// config.num_shards` shard grids over their halo member sets, indexed
-    /// from the router's table (in parallel when `config.parallel`). A
-    /// configuration failing [`UvConfig::validate`] is a typed error, never
-    /// a panic.
+    /// from the router's table (over the worker pool when
+    /// `config.parallel`). A configuration failing [`UvConfig::validate`],
+    /// or objects [`UvSystem::build`] rejects, are a typed error, never a
+    /// panic.
     pub fn build(
         objects: Vec<UncertainObject>,
         domain: Rect,
@@ -815,10 +819,11 @@ impl ShardedUvSystem {
     }
 
     /// Answers a batch of PNN queries through the routed view: grouped by
-    /// owning shard, one thread per group when `config.parallel` and
-    /// `query_workers` inside a shard. Answers come back in query order,
-    /// bit-identical to the unsharded [`UvSystem::pnn_batch`]; an unowned
-    /// point gets the empty answer and is tallied nowhere.
+    /// owning shard, one pool job per group when `config.parallel` and up
+    /// to `query_workers` threads inside a shard. Answers come back in
+    /// query order, bit-identical to the unsharded
+    /// [`UvSystem::pnn_batch`]; an unowned point gets the empty answer and
+    /// is tallied nowhere.
     pub fn pnn_batch(&self, queries: &[Point]) -> Vec<PnnAnswer> {
         self.routed(|view| view.pnn_batch(queries))
     }
@@ -881,7 +886,7 @@ impl ShardedUvSystem {
             .map(|(s, (shard, delta))| (s, shard, delta))
             .collect();
         let outcomes = fan_out(
-            shard_workers(&router.config),
+            parallel_workers(&router.config),
             jobs,
             |(), (s, shard, delta)| {
                 let repaired = regrown || !delta.is_empty();

@@ -84,8 +84,9 @@
 
 #![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
-use crate::engine::{fan_out, EngineScratch, QueryEngine, RoutedView};
+use crate::engine::{EngineScratch, QueryEngine, RoutedView};
 use crate::error::UvError;
+use crate::pool::fan_out;
 use crate::shard::{Layout, ReshardStats, ShardedUpdateStats, ShardedUvSystem};
 use crate::system::UvSystem;
 use crate::update::UpdateStats;

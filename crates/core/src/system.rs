@@ -17,6 +17,7 @@ use crate::engine::{QueryEngine, TrajectoryStep};
 use crate::index::UvIndex;
 use crate::router::{DerivationReport, DerivationRouter};
 use crate::stats::ConstructionStats;
+use crate::update::validate_objects;
 use std::collections::HashMap;
 use std::sync::Arc;
 use uv_data::{ObjectId, ObjectStore, PnnAnswer, UncertainObject};
@@ -54,7 +55,10 @@ impl UvSystem {
     ///
     /// A configuration that fails [`UvConfig::validate`] is reported as
     /// [`crate::UvError::InvalidConfig`] — construction never panics on bad
-    /// tuning.
+    /// tuning. An object with a non-finite centre, a negative or non-finite
+    /// radius, or a histogram with no bars or a negative or non-finite bar
+    /// is [`crate::UvError::InvalidObject`]; a repeated id is
+    /// [`crate::UvError::DuplicateObject`].
     pub fn build(
         objects: Vec<UncertainObject>,
         domain: Rect,
@@ -62,6 +66,7 @@ impl UvSystem {
         config: UvConfig,
     ) -> Result<Self, crate::UvError> {
         config.validate()?;
+        validate_objects(&objects)?;
         let object_pages = Arc::new(PageStore::new());
         let object_store = ObjectStore::build(Arc::clone(&object_pages), &objects);
         let rtree_pages = Arc::new(PageStore::new());
@@ -144,6 +149,13 @@ impl UvSystem {
     /// update batch.
     pub fn epoch(&self) -> u64 {
         self.index.epoch()
+    }
+
+    /// Objects this system has derived since it was built or loaded: the
+    /// build's full table, every re-derived affected set and every
+    /// domain-growth re-derivation. A loaded system starts at zero.
+    pub fn derivations(&self) -> u64 {
+        self.router.derivations()
     }
 
     /// The retained maintenance state of one object (reference ids and

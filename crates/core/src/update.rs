@@ -109,7 +109,7 @@ use crate::system::{index_grid, UvSystem};
 use crate::UvError;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use uv_data::{ObjectId, UncertainObject};
+use uv_data::{ObjectId, Pdf, UncertainObject};
 use uv_geom::{Circle, Point, Rect};
 use uv_rtree::RTree;
 
@@ -540,12 +540,39 @@ pub(crate) fn grow_domain(mut domain: Rect, needed: &Rect) -> Rect {
     domain
 }
 
-/// Op validation of an inserted object: finite centre, finite
-/// non-negative radius. Applied by the pipeline in [`crate::router`].
+/// Validation of an object entering the system, by a build or an insert:
+/// finite centre, finite non-negative radius, and a histogram pdf with at
+/// least one bar, every bar finite and non-negative. Bars need not sum to
+/// one: a truncated Gaussian's sum to less. Applied by both builds and by
+/// the pipeline in [`crate::router`].
 pub(crate) fn validate_object(o: &UncertainObject) -> Result<(), UvError> {
     let c = o.center();
-    if !c.x.is_finite() || !c.y.is_finite() || !o.radius().is_finite() || o.radius() < 0.0 {
+    let pdf_ok = match &o.pdf {
+        Pdf::Uniform => true,
+        Pdf::Histogram { bars } => {
+            !bars.is_empty() && bars.iter().all(|b| b.is_finite() && *b >= 0.0)
+        }
+    };
+    if !c.x.is_finite()
+        || !c.y.is_finite()
+        || !o.radius().is_finite()
+        || o.radius() < 0.0
+        || !pdf_ok
+    {
         return Err(UvError::InvalidObject(o.id));
+    }
+    Ok(())
+}
+
+/// Validation of a build's objects: each passes [`validate_object`] and no
+/// id repeats.
+pub(crate) fn validate_objects(objects: &[UncertainObject]) -> Result<(), UvError> {
+    let mut ids = HashSet::with_capacity(objects.len());
+    for o in objects {
+        validate_object(o)?;
+        if !ids.insert(o.id) {
+            return Err(UvError::DuplicateObject(o.id));
+        }
     }
     Ok(())
 }
@@ -691,7 +718,7 @@ impl Repairer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Method, UvConfig};
+    use crate::{Method, ShardedUvSystem, UvConfig};
     use uv_data::{Dataset, GeneratorConfig};
 
     fn system(n: usize, config: UvConfig) -> (Dataset, UvSystem) {
@@ -810,6 +837,91 @@ mod tests {
         );
         assert_eq!(err.unwrap_err(), UvError::UnknownObject(55_555));
         assert_eq!(sys.objects().len(), 60);
+        assert_eq!(canonical_leaves(&sys), before);
+        assert_eq!(sys.index().epoch(), 0);
+    }
+
+    /// Every kind of object a build or an insert must reject, with the
+    /// error it gets: a NaN centre, a negative radius, a negative, NaN or
+    /// infinite bar, no bars at all.
+    fn bad_objects() -> Vec<UncertainObject> {
+        let good = || UncertainObject::with_gaussian(900, Point::new(5_000.0, 5_000.0), 20.0);
+        let with_bars = |bars: Vec<f64>| UncertainObject {
+            pdf: Pdf::Histogram { bars },
+            ..good()
+        };
+        let mut nan_centre = good();
+        nan_centre.region.center.y = f64::NAN;
+        let mut negative_radius = good();
+        negative_radius.region.radius = -1.0;
+        let mut negative_bar = vec![0.0; 20];
+        (negative_bar[0], negative_bar[19]) = (-0.3, 1.0);
+        vec![
+            nan_centre,
+            negative_radius,
+            with_bars(negative_bar),
+            with_bars(vec![0.5, f64::NAN, 0.5]),
+            with_bars(vec![0.5, f64::INFINITY]),
+            with_bars(Vec::new()),
+        ]
+    }
+
+    #[test]
+    fn unsharded_build_rejects_invalid_and_duplicate_objects() {
+        let ds = Dataset::generate(GeneratorConfig::paper_uniform(60));
+        let build = |objects| UvSystem::build(objects, ds.domain, Method::IC, UvConfig::default());
+        for bad in bad_objects() {
+            let mut objects = ds.objects.clone();
+            objects.push(bad);
+            assert_eq!(build(objects).unwrap_err(), UvError::InvalidObject(900));
+        }
+        let mut objects = ds.objects.clone();
+        objects.push(UncertainObject {
+            id: 7,
+            ..objects[3].clone()
+        });
+        assert_eq!(build(objects).unwrap_err(), UvError::DuplicateObject(7));
+        // Bars need not sum to one.
+        let mut objects = ds.objects.clone();
+        objects.push(UncertainObject::new(
+            900,
+            Point::new(5_000.0, 5_000.0),
+            20.0,
+            Pdf::Histogram {
+                bars: vec![0.2, 0.3],
+            },
+        ));
+        assert!(build(objects).is_ok());
+    }
+
+    #[test]
+    fn sharded_build_rejects_invalid_and_duplicate_objects() {
+        let ds = Dataset::generate(GeneratorConfig::paper_uniform(60));
+        let config = UvConfig::default().with_num_shards(2);
+        let build = |objects| ShardedUvSystem::build(objects, ds.domain, Method::IC, config);
+        for bad in bad_objects() {
+            let mut objects = ds.objects.clone();
+            objects.push(bad);
+            assert_eq!(build(objects).unwrap_err(), UvError::InvalidObject(900));
+        }
+        let mut objects = ds.objects.clone();
+        objects.push(UncertainObject {
+            id: 7,
+            ..objects[3].clone()
+        });
+        assert_eq!(build(objects).unwrap_err(), UvError::DuplicateObject(7));
+    }
+
+    #[test]
+    fn insert_rejects_invalid_objects_without_mutating() {
+        let (_, mut sys) = system(60, UvConfig::default());
+        let before = canonical_leaves(&sys);
+        for bad in bad_objects() {
+            assert_eq!(
+                sys.insert_object(bad).unwrap_err(),
+                UvError::InvalidObject(900)
+            );
+        }
         assert_eq!(canonical_leaves(&sys), before);
         assert_eq!(sys.index().epoch(), 0);
     }
