@@ -1,10 +1,11 @@
 //! Criterion benchmarks of UV-index construction: the Basic / ICR / IC
-//! comparison behind Figure 7(a)/(c), at bench-friendly sizes.
+//! comparison behind Figure 7(a)/(c), at bench-friendly sizes. Each build
+//! is a whole `UvSystem::build`: object store, R-tree, derivation and grid.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
-use uv_core::{build_uv_index, Method, UvConfig};
-use uv_data::{Dataset, GeneratorConfig, ObjectStore};
+use uv_core::{Method, UvConfig, UvSystem};
+use uv_data::{Dataset, GeneratorConfig};
 use uv_rtree::RTree;
 use uv_store::PageStore;
 
@@ -13,9 +14,6 @@ fn bench_construction(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &[200usize, 800] {
         let dataset = Dataset::generate(GeneratorConfig::paper_uniform(n));
-        let pages = Arc::new(PageStore::new());
-        let objects = ObjectStore::build(Arc::clone(&pages), &dataset.objects);
-        let rtree = RTree::build(&dataset.objects, &objects, pages);
         for method in [Method::Basic, Method::ICR, Method::IC] {
             // Keep Basic to the small size only: it is the slow straw man.
             if method == Method::Basic && n > 200 {
@@ -23,17 +21,15 @@ fn bench_construction(c: &mut Criterion) {
             }
             group.bench_with_input(BenchmarkId::new(method.name(), n), &method, |b, &method| {
                 b.iter(|| {
-                    let (index, stats) = build_uv_index(
-                        &dataset.objects,
-                        &objects,
-                        &rtree,
+                    let system = UvSystem::build(
+                        dataset.objects.clone(),
                         dataset.domain,
-                        Arc::new(PageStore::new()),
                         method,
                         UvConfig::default(),
                     )
                     .unwrap();
-                    std::hint::black_box((index.num_leaf_nodes(), stats.leaf_pages))
+                    let stats = system.construction_stats();
+                    std::hint::black_box((stats.leaf_nodes, stats.leaf_pages))
                 })
             });
         }
@@ -45,11 +41,9 @@ fn bench_rtree_bulk_load(c: &mut Criterion) {
     let mut group = c.benchmark_group("rtree_bulk_load");
     for &n in &[1_000usize, 10_000] {
         let dataset = Dataset::generate(GeneratorConfig::paper_uniform(n));
-        let pages = Arc::new(PageStore::new());
-        let objects = ObjectStore::build(Arc::clone(&pages), &dataset.objects);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let tree = RTree::build(&dataset.objects, &objects, Arc::new(PageStore::new()));
+                let tree = RTree::build(&dataset.objects, Arc::new(PageStore::new()));
                 std::hint::black_box(tree.num_leaves())
             })
         });

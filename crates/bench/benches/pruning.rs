@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use uv_core::crobjects::derive_cr_objects;
 use uv_core::{cell::build_exact_cell, UvConfig};
-use uv_data::{Dataset, GeneratorConfig, ObjectStore};
+use uv_data::{Dataset, GeneratorConfig};
 use uv_rtree::RTree;
 use uv_store::PageStore;
 
@@ -14,9 +14,7 @@ fn bench_cr_object_derivation(c: &mut Criterion) {
     let mut group = c.benchmark_group("derive_cr_objects");
     for &n in &[1_000usize, 5_000] {
         let dataset = Dataset::generate(GeneratorConfig::paper_uniform(n));
-        let pages = Arc::new(PageStore::new());
-        let objects = ObjectStore::build(Arc::clone(&pages), &dataset.objects);
-        let rtree = RTree::build(&dataset.objects, &objects, pages);
+        let rtree = RTree::build(&dataset.objects, Arc::new(PageStore::new()));
         let config = UvConfig::default();
         let subject = &dataset.objects[n / 2];
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
@@ -57,9 +55,7 @@ fn bench_exact_cell(c: &mut Criterion) {
 
 fn bench_rtree_substrate(c: &mut Criterion) {
     let dataset = Dataset::generate(GeneratorConfig::paper_uniform(10_000));
-    let pages = Arc::new(PageStore::new());
-    let objects = ObjectStore::build(Arc::clone(&pages), &dataset.objects);
-    let rtree = RTree::build(&dataset.objects, &objects, pages);
+    let rtree = RTree::build(&dataset.objects, Arc::new(PageStore::new()));
     let q = dataset.objects[5_000].center();
 
     c.bench_function("rtree_knn_300", |b| {

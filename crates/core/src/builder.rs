@@ -19,15 +19,19 @@
 //! property the dynamic maintenance subsystem ([`crate::update`]) relies on
 //! to repair the partition locally while staying bit-identical to a full
 //! rebuild. Member lists are kept in ascending id order for the same reason.
-
-#![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
+//!
+//! A build runs in two phases. Phase A, the per-object derivation of the
+//! chosen method (`derive_subset`), is called only by [`crate::router`],
+//! which owns the R-tree it probes. Phase B, the grid build over the
+//! derived states (`build_grid`), writes each leaf entry's pointer from the
+//! object store. [`crate::UvSystem::build`] runs both.
 
 use crate::cell::build_exact_cell;
 use crate::config::UvConfig;
 use crate::crobjects::{derive_cr_objects_with, UpdateSensitivity};
 use crate::index::{check_overlap, GridNode, UvIndex};
 use crate::pool::{fan_out, parallel_workers};
-use crate::router::{derive_table, DerivationReport};
+use crate::router::DerivationReport;
 use crate::stats::{ConstructionStats, PruneStats};
 use crate::update::RefTable;
 use std::collections::HashMap;
@@ -68,41 +72,6 @@ pub(crate) struct PerObject {
     pub(crate) prune: PruneStats,
     pub(crate) prune_time: Duration,
     pub(crate) refine_time: Duration,
-}
-
-/// Builds a UV-index over `objects` with the chosen `method`.
-///
-/// * `object_store` supplies the disk pointers stored in leaf entries (and is
-///   the store queries later fetch pdfs from).
-/// * `rtree` is the R-tree over the same objects, used by seed selection and
-///   I-pruning (the paper assumes it is already available).
-/// * `store` receives the UV-index leaf pages.
-///
-/// Returns the index together with construction statistics, or
-/// [`crate::UvError::InvalidConfig`] when `config` fails
-/// [`UvConfig::validate`] — a bad configuration surfaces as a typed error,
-/// never a panic.
-pub fn build_uv_index(
-    objects: &[UncertainObject],
-    object_store: &ObjectStore,
-    rtree: &RTree,
-    domain: Rect,
-    store: Arc<PageStore>,
-    method: Method,
-    config: UvConfig,
-) -> Result<(UvIndex, ConstructionStats), crate::UvError> {
-    config.validate()?;
-    // ---- Phase A: derive reference objects per object ------------------------
-    let (ref_table, report) = derive_table(objects, rtree, &domain, &config, method);
-    // ---- Phase B: canonical top-down grid build ------------------------------
-    let mbcs = mbcs_of(objects);
-    let entries = entries_of(objects, object_store);
-    let ctx = GridCtx {
-        mbcs: &mbcs,
-        entries: &entries,
-        states: &ref_table,
-    };
-    Ok(build_grid(objects, &ctx, domain, store, config, &report))
 }
 
 /// Phase B: the canonical top-down grid over `members`, whose overlap tests
@@ -158,20 +127,8 @@ pub(crate) fn mbcs_of(objects: &[UncertainObject]) -> HashMap<ObjectId, Circle> 
     objects.iter().map(|o| (o.id, o.mbc())).collect()
 }
 
-/// Id → leaf entry (`<ID, MBC, pointer>` into `object_store`) of every
-/// object in `objects`.
-pub(crate) fn entries_of(
-    objects: &[UncertainObject],
-    object_store: &ObjectStore,
-) -> HashMap<ObjectId, ObjectEntry> {
-    objects
-        .iter()
-        .map(|o| (o.id, ObjectEntry::new(o, object_store.ptr_of(o.id))))
-        .collect()
-}
-
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn derive_one(
+fn derive_one(
     subject: &UncertainObject,
     objects: &[UncertainObject],
     by_id: &HashMap<ObjectId, &UncertainObject>,
@@ -274,10 +231,11 @@ pub(crate) fn derive_subset(
 }
 
 /// Read-only context for overlap tests and leaf-page construction: current
-/// MBCs, leaf entries and reference sets of every live object.
+/// MBCs and reference sets of every live object, and the object store whose
+/// records the grid's leaf entries point at.
 pub(crate) struct GridCtx<'a> {
     pub(crate) mbcs: &'a HashMap<ObjectId, Circle>,
-    pub(crate) entries: &'a HashMap<ObjectId, ObjectEntry>,
+    pub(crate) object_store: &'a ObjectStore,
     pub(crate) states: &'a RefTable,
 }
 
@@ -536,8 +494,9 @@ pub(crate) fn reconcile_budget(
 }
 
 /// Writes slot `node` as a leaf: one `<ID, MBC, pointer>` entry per member,
-/// packed into a sealed page list. The old leaf's pages are freed first, so
-/// the new list reuses them.
+/// the pointer naming its record's page in the object store, packed into a
+/// sealed page list. The old leaf's pages are freed first, so the new list
+/// reuses them.
 pub(crate) fn make_leaf(
     index: &mut UvIndex,
     node: usize,
@@ -548,7 +507,11 @@ pub(crate) fn make_leaf(
     index.set_node(node, GridNode::Free);
     let mut list = PagedList::new(Arc::clone(&index.store));
     for id in &members {
-        list.push(ctx.entries[id]);
+        list.push(ObjectEntry {
+            id: *id,
+            mbc: ctx.mbcs[id],
+            ptr: ctx.object_store.ptr_of(*id),
+        });
     }
     list.seal();
     index.nodes[node] = GridNode::Leaf {
@@ -560,9 +523,9 @@ pub(crate) fn make_leaf(
 }
 
 #[cfg(test)]
-#[allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::UvSystem;
     use uv_data::{Dataset, GeneratorConfig};
     use uv_rtree::pnn::brute_force_candidates;
 
@@ -576,21 +539,13 @@ mod tests {
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(n));
         let pages = Arc::new(PageStore::new());
         let objects = ObjectStore::build(Arc::clone(&pages), &ds.objects);
-        let rtree = RTree::build(&ds.objects, &objects, pages);
+        let rtree = RTree::build(&ds.objects, pages);
         Fixture { ds, objects, rtree }
     }
 
     fn build(f: &Fixture, method: Method, config: UvConfig) -> (UvIndex, ConstructionStats) {
-        build_uv_index(
-            &f.ds.objects,
-            &f.objects,
-            &f.rtree,
-            f.ds.domain,
-            Arc::new(PageStore::new()),
-            method,
-            config,
-        )
-        .unwrap()
+        let system = UvSystem::build(f.ds.objects.clone(), f.ds.domain, method, config).unwrap();
+        (system.index, system.construction)
     }
 
     fn answers_match_brute_force(f: &Fixture, index: &UvIndex, queries: usize, seed: u64) {

@@ -536,7 +536,7 @@ mod tests {
     use super::*;
     use crate::cell::build_exact_cell;
     use std::sync::Arc;
-    use uv_data::{Dataset, DatasetKind, GeneratorConfig, ObjectStore};
+    use uv_data::{Dataset, DatasetKind, GeneratorConfig};
     use uv_store::PageStore;
 
     fn setup(n: usize, kind: DatasetKind) -> (Dataset, RTree) {
@@ -545,9 +545,7 @@ mod tests {
             ..GeneratorConfig::paper_uniform(n)
         };
         let ds = Dataset::generate(config);
-        let pages = Arc::new(PageStore::new());
-        let objects = ObjectStore::build(Arc::clone(&pages), &ds.objects);
-        let tree = RTree::build(&ds.objects, &objects, pages);
+        let tree = RTree::build(&ds.objects, Arc::new(PageStore::new()));
         (ds, tree)
     }
 
@@ -660,9 +658,7 @@ mod tests {
         let objects: Vec<UncertainObject> = (0..6)
             .map(|i| UncertainObject::with_uniform(i, Point::new(500.0, 500.0), 10.0))
             .collect();
-        let pages = Arc::new(PageStore::new());
-        let store = ObjectStore::build(Arc::clone(&pages), &objects);
-        let tree = RTree::build(&objects, &store, pages);
+        let tree = RTree::build(&objects, Arc::new(PageStore::new()));
         let config = test_config();
 
         for subject in &objects {
@@ -704,9 +700,7 @@ mod tests {
             Point::new(500.0, 320.0),
             10.0,
         ));
-        let pages = Arc::new(PageStore::new());
-        let store = ObjectStore::build(Arc::clone(&pages), &objects);
-        let tree = RTree::build(&objects, &store, pages);
+        let tree = RTree::build(&objects, Arc::new(PageStore::new()));
         let config = test_config();
 
         let subject = &objects[0];

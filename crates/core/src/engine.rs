@@ -35,8 +35,6 @@
 //! algorithm and experiment of the paper, with its module and key functions —
 //! lives in `docs/PAPER_MAP.md` at the repository root.*
 
-#![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
-
 use crate::index::UvIndex;
 use crate::pool::{fan_out, parallel_workers};
 use crate::shard::Layout;
@@ -609,7 +607,6 @@ impl<'v, 'a> RoutedView<'v, 'a> {
 }
 
 #[cfg(test)]
-#[allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::shard::ShardedUvSystem;

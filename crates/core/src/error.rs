@@ -13,7 +13,8 @@ pub enum UvError {
     DuplicateObject(u32),
     /// An object has non-finite coordinates, a negative or non-finite
     /// radius, or a histogram pdf with no bars or a negative or non-finite
-    /// bar.
+    /// bar, or an update places it where the domain could only grow to
+    /// cover it by passing the largest finite coordinate.
     InvalidObject(u32),
     /// A subscription client id was not found in the subscription table.
     UnknownClient(u64),

@@ -502,23 +502,18 @@ mod tests {
         // point lying exactly on an internal split line must always reach a
         // leaf whose `node_regions` rectangle contains it, consistently with
         // the closed-rectangle semantics of `Rect::quadrants`/`Rect::contains`.
-        use crate::builder::{build_uv_index, Method};
+        use crate::builder::Method;
+        use crate::UvSystem;
         use uv_data::{Dataset, GeneratorConfig};
 
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(600));
-        let pages = Arc::new(PageStore::new());
-        let objects = ObjectStore::build(Arc::clone(&pages), &ds.objects);
-        let rtree = uv_rtree::RTree::build(&ds.objects, &objects, pages);
-        let (index, _) = build_uv_index(
-            &ds.objects,
-            &objects,
-            &rtree,
+        let system = UvSystem::build(
+            ds.objects.clone(),
             ds.domain,
-            Arc::new(PageStore::new()),
             Method::IC,
             UvConfig::default(),
-        )
-        .unwrap();
+        );
+        let index = system.unwrap().index;
         assert!(
             index.num_nonleaf_nodes() > 0,
             "fixture must actually split so there are internal split lines"

@@ -26,12 +26,13 @@
 //!   a versioned, checksummed binary format and loaded back query-ready in
 //!   `O(bytes)` with zero re-derivation — the *build once, query many* cost
 //!   model made durable across process restarts.
-//! * [`router`] — the derivation pipeline beyond the paper: the one
-//!   implementation of an update's derivation half (validation, net diff,
-//!   domain growth, affected set, re-derivation, dirty diff) over the
-//!   object set, an R-tree and the per-object sensitivity tables, with no
-//!   UV-grid, leaf pages or object-store pages. Every [`UvSystem`] owns one;
-//!   the sharded layer owns one for the whole dataset.
+//! * [`router`] — the derivation pipeline beyond the paper: the only owner
+//!   of derivation and of the R-tree. It validates and derives a build, and
+//!   runs the derivation half of every update (validation, net diff, domain
+//!   growth, affected set, re-derivation, dirty diff) over the object set,
+//!   the R-tree and the per-object sensitivity tables, with no UV-grid or
+//!   object-store pages. Every [`UvSystem`] owns one; the sharded layer owns
+//!   one for the whole dataset.
 //! * [`shard`] — domain-sharded serving beyond the paper: the domain split
 //!   into an `nx × ny` grid of shard rectangles, each indexing its
 //!   halo-replicated object subset from the router's table (shards never
@@ -50,35 +51,37 @@
 //! # Quick start
 //!
 //! ```
-//! use std::sync::Arc;
-//! use uv_core::{builder::{build_uv_index, Method}, UvConfig};
-//! use uv_data::{Dataset, GeneratorConfig, ObjectStore};
-//! use uv_rtree::RTree;
-//! use uv_store::PageStore;
+//! use uv_core::{Method, UvConfig, UvSystem};
+//! use uv_data::{Dataset, GeneratorConfig};
 //!
 //! // A small uncertain dataset in a 10k x 10k domain.
 //! let dataset = Dataset::generate(GeneratorConfig::paper_uniform(200));
-//! let pages = Arc::new(PageStore::new());
-//! let objects = ObjectStore::build(Arc::clone(&pages), &dataset.objects);
-//! let rtree = RTree::build(&dataset.objects, &objects, Arc::clone(&pages));
 //!
-//! // Build the UV-index with the IC method (cr-objects, no refinement).
-//! // A bad configuration surfaces as `UvError::InvalidConfig`, never a panic.
-//! let (index, stats) = build_uv_index(
-//!     &dataset.objects, &objects, &rtree, dataset.domain,
-//!     Arc::new(PageStore::new()), Method::IC, UvConfig::default(),
+//! // Build with the IC method (cr-objects, no refinement): the router packs
+//! // the R-tree and derives every object, then the object store and the
+//! // UV-index are built over its objects. A bad configuration surfaces as
+//! // `UvError::InvalidConfig`, never a panic.
+//! let system = UvSystem::build(
+//!     dataset.objects.clone(), dataset.domain, Method::IC, UvConfig::default(),
 //! ).unwrap();
-//! assert_eq!(stats.objects, 200);
+//! assert_eq!(system.construction_stats().objects, 200);
 //!
 //! // Answer a probabilistic nearest-neighbour query with a point lookup.
 //! let q = dataset.query_points(1, 7)[0];
-//! let answer = index.pnn(&objects, q, 100);
+//! let answer = system.pnn(q);
 //! assert!(!answer.probabilities.is_empty());
 //! ```
 //!
 //! *The paper-to-code map for the whole workspace — every definition, lemma,
 //! algorithm and experiment of the paper, with its module and key functions —
 //! lives in `docs/PAPER_MAP.md` at the repository root.*
+
+// Library code reports misuse and corrupt input as a typed `UvError`;
+// tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)
+)]
 
 pub mod builder;
 pub mod cell;
@@ -98,7 +101,7 @@ pub mod subscribe;
 pub mod system;
 pub mod update;
 
-pub use builder::{build_uv_index, Method};
+pub use builder::Method;
 pub use cell::UvCell;
 pub use config::UvConfig;
 pub use crobjects::{ChangeImpact, CrObjects, UpdateSensitivity};

@@ -92,29 +92,22 @@ impl UvIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_uv_index, Method};
+    use crate::builder::Method;
     use crate::config::UvConfig;
+    use crate::UvSystem;
     use std::sync::Arc;
     use uv_data::{Dataset, GeneratorConfig, ObjectStore};
-    use uv_rtree::RTree;
     use uv_store::PageStore;
 
     fn build(n: usize) -> (Dataset, UvIndex) {
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(n));
-        let pages = Arc::new(PageStore::new());
-        let objects = ObjectStore::build(Arc::clone(&pages), &ds.objects);
-        let rtree = RTree::build(&ds.objects, &objects, pages);
-        let (index, _) = build_uv_index(
-            &ds.objects,
-            &objects,
-            &rtree,
+        let system = UvSystem::build(
+            ds.objects.clone(),
             ds.domain,
-            Arc::new(PageStore::new()),
             Method::IC,
             UvConfig::default(),
-        )
-        .unwrap();
-        (ds, index)
+        );
+        (ds, system.unwrap().index)
     }
 
     #[test]

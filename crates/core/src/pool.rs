@@ -16,8 +16,6 @@
 //! batches) runs on the threads it finds free and cannot deadlock, and no
 //! fan-out runs on more than `available_parallelism()` threads.
 
-#![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
-
 use crate::config::UvConfig;
 use std::any::Any;
 use std::iter::Enumerate;
@@ -341,7 +339,6 @@ fn help(shared: &Shared) {
 }
 
 #[cfg(test)]
-#[allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::shard::ShardedUvSystem;

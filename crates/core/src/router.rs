@@ -1,22 +1,25 @@
-//! The derivation pipeline: the one place that derives reference sets and
-//! applies update batches to them (steps 1–8 of an apply), for the
-//! unsharded system and the sharded layer alike.
+//! The derivation pipeline: the one place that packs the R-tree and derives
+//! reference sets — for a build, and for the derivation half of every update
+//! batch (steps 1–8 of an apply) — for the unsharded system and the sharded
+//! layer alike.
 //!
 //! A [`DerivationRouter`] holds exactly the state a derivation reads and
 //! writes, and nothing a query touches:
 //!
 //! * the live object set and the indexed domain;
 //! * an R-tree over the objects for the k-NN and range probes of
-//!   Algorithm 2 (`derive_subset` never dereferences an entry pointer, so a
-//!   standalone router packs an *index-only* tree,
-//!   [`uv_rtree::RTree::build_index_only`], with null record pointers; a
-//!   shard's router never derives and holds an empty one);
+//!   Algorithm 2. It is index-only ([`uv_rtree::RTree::build`]): its leaf
+//!   entries carry the null record pointer, since neither the derivation
+//!   nor the Figure 6 baseline reads a record through the tree. A shard's
+//!   router never derives and holds an empty one;
 //! * the per-object reference-set / sensitivity table
 //!   ([`crate::update::ObjectState`]) — the affected-object oracle;
 //! * configuration, construction method and the epoch counter.
 //!
-//! [`crate::UvSystem`] owns one (over its own objects, with a record-pointer
-//! R-tree) and runs grid repair on what it reports;
+//! [`DerivationRouter::build`] and [`crate::UvSystem::build`] run one
+//! validated constructor: it rejects a bad configuration, domain or object
+//! set, packs the tree and derives every object. [`crate::UvSystem`] owns
+//! one router over its own objects and runs grid repair on what it reports;
 //! [`crate::ShardedUvSystem`] owns one over the whole dataset and repairs
 //! every shard's grid from it. Neither derives anywhere else.
 //!
@@ -26,11 +29,11 @@
 //!
 //! 1. validate every op against a shadow of the object set (nothing mutates
 //!    on error);
-//! 2. compute the net difference;
+//! 2. compute the net difference, rejecting a batch the domain could cover
+//!    only by growing an edge past the largest finite coordinate;
 //! 3. apply it to the object vector;
 //! 4. re-index: free the old R-tree's leaf pages, then repack into the same
-//!    store (the caller's object store and record-pointer R-tree — a
-//!    standalone router repacks its index-only tree);
+//!    store;
 //! 5. grow the domain in place when the difference left it, re-deriving
 //!    every object (the derivation is domain-seeded);
 //! 6. expand the affected set through the sensitivity bounds;
@@ -39,39 +42,40 @@
 //!    Algorithm 5 overlap inputs changed.
 //!
 //! The crate-internal `Change` record it returns (net diff, dirty ids,
-//! re-derived ids, `domain_grown`) is all a grid needs for steps 9–10:
-//! [`crate::UvSystem::apply`] repairs its grid from it, and the sharded
-//! layer repairs every shard's grid from the *same* record, restricted to
-//! the shard's halo members. Because the derivation reads only R-tree
-//! probes, objects and the domain, the table is a pure function of the
-//! object set — whichever tree packing the caller re-indexes with — and a
-//! cold derivation of the final object set reproduces it bit-for-bit
-//! (property-tested in `tests/proptest_update.rs` and
-//! `tests/proptest_shard.rs`).
+//! re-derived ids, `domain_grown`) is all the caller needs next: the
+//! unsharded [`crate::UvSystem::apply`] applies the net difference to its
+//! object store and repairs its grid from it (steps 9–10), and the sharded
+//! layer repairs every shard's object store and grid from the *same*
+//! record, restricted to the shard's halo members. Because the derivation
+//! reads only R-tree probes, objects and the domain, the table is a pure
+//! function of the object set, and a cold derivation of the final object
+//! set reproduces it bit-for-bit (property-tested in
+//! `tests/proptest_update.rs` and `tests/proptest_shard.rs`).
 //!
 //! # Persistence
 //!
 //! `DerivationRouter::write_state` (crate-internal) persists config,
 //! method, domain, epoch, objects and the reference table (through the
 //! unsharded snapshot's reference-table codec, d-bounds as bare hull
-//! vertices). The R-tree is **not** persisted: STR packing is a pure
+//! vertices). The R-tree is **not** persisted here: STR packing is a pure
 //! function of the object set, so `DerivationRouter::read_state` rebuilds
-//! it bit-identically with
-//! [`uv_rtree::RTree::build_index_only`]. That makes the sharded
-//! container's ROUTER section a small multiple of the raw object data —
-//! the measured memory win `experiments -- shard` gates on. It is also the
-//! sharded snapshot's one lossless copy of the objects, their states, the
-//! configuration and the domain: since format v7 a shard section holds
-//! only its member ids, pages and grid, and a loaded shard takes the rest
-//! from the loaded router ([`crate::shard`]).
+//! it bit-identically with [`uv_rtree::RTree::build`]. That makes the
+//! sharded container's ROUTER section a small multiple of the raw object
+//! data — the measured memory win `experiments -- shard` gates on. It is
+//! also the sharded snapshot's one lossless copy of the objects, their
+//! states, the configuration and the domain: since format v7 a shard
+//! section holds only its member ids, pages and grid, and a loaded shard
+//! takes the rest from the loaded router ([`crate::shard`]). The unsharded
+//! snapshot does persist its system's tree (RTREE_PAGES and RTREE), which
+//! loads faster than a repack.
 
 use crate::builder::{derive_subset, Method};
 use crate::config::UvConfig;
 use crate::crobjects::ChangeImpact;
 use crate::snapshot::{read_ref_table, write_ref_table};
 use crate::update::{
-    grow_domain, validate_object, validate_objects, ObjectState, RefTable, UpdateBatch, UpdateOp,
-    UpdateStats,
+    grow_domain, validate_domain, validate_object, validate_objects, ObjectState, RefTable,
+    UpdateBatch, UpdateOp, UpdateStats,
 };
 use crate::UvError;
 use std::collections::{HashMap, HashSet};
@@ -103,7 +107,7 @@ pub(crate) struct DerivationReport {
 
 /// Derives the reference table of every object in `objects` over `rtree`,
 /// which must index exactly `objects`.
-pub(crate) fn derive_table(
+fn derive_table(
     objects: &[UncertainObject],
     rtree: &RTree,
     domain: &Rect,
@@ -223,6 +227,24 @@ impl Change {
     pub(crate) fn is_noop(&self) -> bool {
         self.inserted.is_empty() && self.deleted.is_empty() && self.changed.is_empty()
     }
+
+    /// The net difference this change applied, with the new states read
+    /// from `objects`, the router's updated object set.
+    pub(crate) fn net_diff<'a>(&'a self, objects: &'a [UncertainObject]) -> NetDiff<'a> {
+        let new: HashMap<ObjectId, &UncertainObject> = objects
+            .iter()
+            .filter(|o| {
+                self.changed.binary_search(&o.id).is_ok()
+                    || self.inserted.binary_search(&o.id).is_ok()
+            })
+            .map(|o| (o.id, o))
+            .collect();
+        NetDiff {
+            deleted: &self.deleted,
+            changed: self.changed.iter().map(|id| new[id]).collect(),
+            inserted: self.inserted.iter().map(|id| new[id]).collect(),
+        }
+    }
 }
 
 /// The update pipeline's derivation half (steps 1–8): object set, domain,
@@ -253,7 +275,7 @@ impl DerivationRouter {
         Self {
             objects: members,
             domain: global.domain,
-            rtree: RTree::build_index_only(&[], Arc::new(PageStore::new())),
+            rtree: RTree::build(&[], Arc::new(PageStore::new())),
             ref_table,
             config: global.config,
             method: global.method,
@@ -263,30 +285,34 @@ impl DerivationRouter {
     }
 
     /// Builds a standalone router over `objects`: validates the
-    /// configuration and the objects (as [`crate::UvSystem::build`] does),
-    /// packs an index-only R-tree and derives every object's reference set
-    /// and sensitivity.
+    /// configuration, the domain and the objects (as [`crate::UvSystem::build`]
+    /// does), packs the R-tree and derives every object's reference set and
+    /// sensitivity.
     pub fn build(
         objects: Vec<UncertainObject>,
         domain: Rect,
         method: Method,
         config: UvConfig,
     ) -> Result<Self, UvError> {
-        config.validate()?;
-        validate_objects(&objects)?;
-        let rtree = RTree::build_index_only(&objects, Arc::new(PageStore::new()));
-        Ok(Self::derive(objects, domain, rtree, method, config).0)
+        Ok(Self::build_with_report(objects, domain, method, config)?.0)
     }
 
-    /// Derives every object's reference set over `rtree` (which must index
-    /// exactly `objects`); the configuration must already be validated.
-    pub(crate) fn derive(
+    /// The one validated constructor, shared by [`DerivationRouter::build`]
+    /// and [`crate::UvSystem::build`], returning the derivation's report
+    /// too. A configuration failing [`UvConfig::validate`], or a domain with
+    /// a non-finite edge or `min >= max` on an axis, is
+    /// [`UvError::InvalidConfig`]; an invalid object or a repeated id is the
+    /// error `validate_objects` gives.
+    pub(crate) fn build_with_report(
         objects: Vec<UncertainObject>,
         domain: Rect,
-        rtree: RTree,
         method: Method,
         config: UvConfig,
-    ) -> (Self, DerivationReport) {
+    ) -> Result<(Self, DerivationReport), UvError> {
+        config.validate()?;
+        validate_domain(&domain)?;
+        validate_objects(&objects)?;
+        let rtree = RTree::build(&objects, Arc::new(PageStore::new()));
         let (ref_table, report) = derive_table(&objects, &rtree, &domain, &config, method);
         let derivations = objects.len() as u64;
         let router = Self {
@@ -299,7 +325,7 @@ impl DerivationRouter {
             epoch: 0,
             derivations,
         };
-        (router, report)
+        Ok((router, report))
     }
 
     /// The live object set.
@@ -344,31 +370,14 @@ impl DerivationRouter {
 
     /// Applies an update batch: validation, net diff, domain growth,
     /// affected-set expansion, re-derivation and the dirty diff (steps 1–8
-    /// of the update pipeline), repacking the index-only R-tree. All leaf
-    /// counters in the returned stats are zero.
+    /// of the update pipeline), repacking the R-tree. All leaf counters in
+    /// the returned stats are zero.
     pub fn apply(&mut self, batch: UpdateBatch) -> Result<UpdateStats, UvError> {
         Ok(self.apply_change(batch)?.stats)
     }
 
     /// [`DerivationRouter::apply`], returning the full change record.
     pub(crate) fn apply_change(&mut self, batch: UpdateBatch) -> Result<Change, UvError> {
-        self.apply_with(batch, |objects, _, pages| {
-            RTree::build_index_only(objects, pages)
-        })
-    }
-
-    /// [`DerivationRouter::apply`] with a caller-supplied re-indexing step
-    /// (step 4): `reindex` receives the updated object set, the net
-    /// difference and the R-tree's page store, its old leaf pages already
-    /// freed, and returns the R-tree the derivation probes, packed into that
-    /// store. The unsharded system updates its object store there and packs
-    /// record pointers; the k-NN and range probes are identical on every
-    /// packing of the same object set.
-    pub(crate) fn apply_with(
-        &mut self,
-        batch: UpdateBatch,
-        reindex: impl FnOnce(&[UncertainObject], &NetDiff<'_>, Arc<PageStore>) -> RTree,
-    ) -> Result<Change, UvError> {
         let mut stats = UpdateStats {
             epoch: self.epoch,
             ..UpdateStats::default()
@@ -423,21 +432,22 @@ impl DerivationRouter {
         }
 
         // ---- 2. Net difference -------------------------------------------
-        // Also captures the old/new geometry of everything that changes or
-        // disappears, split by direction: disappearing states (deletes,
-        // move origins) and appearing states (inserts, move destinations)
-        // carry different seed-displacement hazards, which the sensitivity
-        // prefilter exploits.
+        // The new states of changed and inserted objects are borrowed from
+        // `overlay` as they are matched. Also captures the old/new geometry
+        // of everything that changes or disappears, split by direction:
+        // disappearing states (deletes, move origins) and appearing states
+        // (inserts, move destinations) carry different seed-displacement
+        // hazards, which the sensitivity prefilter exploits.
         let mut deleted: Vec<ObjectId> = Vec::new();
-        let mut inserted: Vec<ObjectId> = Vec::new();
-        let mut changed: Vec<ObjectId> = Vec::new();
+        let mut inserted: Vec<&UncertainObject> = Vec::new();
+        let mut changed: Vec<&UncertainObject> = Vec::new();
         let mut removed_mbcs: Vec<Circle> = Vec::new();
         let mut added_mbcs: Vec<Circle> = Vec::new();
         let mut moved_mbcs: Vec<(Circle, Circle)> = Vec::new();
         for (id, state) in &overlay {
             match (before.get(id), state) {
                 (Some(b), Some(o)) if *b != o => {
-                    changed.push(*id);
+                    changed.push(o);
                     moved_mbcs.push((b.mbc(), o.mbc()));
                 }
                 (Some(_), Some(_)) => {} // touched but net-unchanged
@@ -446,7 +456,7 @@ impl DerivationRouter {
                     removed_mbcs.push(b.mbc());
                 }
                 (None, Some(o)) => {
-                    inserted.push(*id);
+                    inserted.push(o);
                     added_mbcs.push(o.mbc());
                 }
                 (None, None) => {} // inserted then deleted within the batch
@@ -454,8 +464,8 @@ impl DerivationRouter {
         }
         drop(before);
         deleted.sort_unstable();
-        inserted.sort_unstable();
-        changed.sort_unstable();
+        inserted.sort_unstable_by_key(|o| o.id);
+        changed.sort_unstable_by_key(|o| o.id);
         stats.deleted = deleted.len();
         stats.inserted = inserted.len();
         stats.moved = changed.len();
@@ -465,12 +475,31 @@ impl DerivationRouter {
                 ..Change::default()
             });
         }
-        let updated = |id: &ObjectId| overlay[id].as_ref().expect("net-changed ids carry a state");
         let diff = NetDiff {
             deleted: &deleted,
-            changed: changed.iter().map(updated).collect(),
-            inserted: inserted.iter().map(updated).collect(),
+            changed,
+            inserted,
         };
+        let inserted: Vec<ObjectId> = diff.inserted.iter().map(|o| o.id).collect();
+        let changed: Vec<ObjectId> = diff.changed.iter().map(|o| o.id).collect();
+        // Step 5's domain growth is decided before anything mutates: a batch
+        // the domain could cover only by growing an edge past the largest
+        // finite coordinate is rejected, naming its first object outside.
+        let outside: Vec<&UncertainObject> = diff
+            .inserted
+            .iter()
+            .chain(&diff.changed)
+            .copied()
+            .filter(|o| !self.domain.contains_rect(&o.mbr()))
+            .collect();
+        let grown = outside
+            .iter()
+            .map(|o| o.mbr())
+            .reduce(|a, b| a.union(&b))
+            .map(|needed| grow_domain(self.domain, &needed));
+        if let (Some(grown), Some(first)) = (grown, outside.first()) {
+            validate_domain(&grown).map_err(|_| UvError::InvalidObject(first.id))?;
+        }
 
         // ---- 3. Apply the net difference to the object vector ------------
         diff.apply_to(&mut self.objects);
@@ -482,24 +511,14 @@ impl DerivationRouter {
         // would query. The old packing's leaf pages are freed first, so the
         // new one reuses them in the same store.
         self.rtree.clear();
-        let pages = Arc::clone(self.rtree.store());
-        self.rtree = reindex(&self.objects, &diff, pages);
-        drop(diff);
+        self.rtree = RTree::build(&self.objects, Arc::clone(self.rtree.store()));
 
         // ---- 5. In-place domain growth -----------------------------------
         // The derivation is domain-seeded (possible regions start from the
         // domain rectangle, the hull discretisation scales with its side),
         // so a domain change invalidates every derivation.
-        let needed = inserted
-            .iter()
-            .chain(&changed)
-            .map(|id| updated(id).mbr())
-            .filter(|mbr| !self.domain.contains_rect(mbr))
-            .fold(None::<Rect>, |acc, mbr| {
-                Some(acc.map_or(mbr, |a| a.union(&mbr)))
-            });
-        if let Some(needed) = needed {
-            self.domain = grow_domain(self.domain, &needed);
+        if let Some(grown) = grown {
+            self.domain = grown;
             let (table, report) = derive_table(
                 &self.objects,
                 &self.rtree,
@@ -675,6 +694,9 @@ impl DerivationRouter {
     /// what the ROUTER section of a sharded snapshot costs, and the figure
     /// the shard experiment's memory gate compares against a full
     /// unsharded snapshot.
+    // Cannot fire: every encoder writes through `Write`, which a `Vec`
+    // implements without error.
+    #[allow(clippy::expect_used)]
     pub fn state_bytes(&self) -> u64 {
         let mut bytes = Vec::new();
         self.write_state(&mut bytes)
@@ -692,10 +714,12 @@ impl DerivationRouter {
         })?;
         let method = Method::read_from(r)?;
         let domain = Rect::read_from(r)?;
+        validate_domain(&domain)
+            .map_err(|e| UvError::SnapshotCorrupt(format!("persisted router domain: {e}")))?;
         let epoch = u64::read_from(r)?;
         let objects: Vec<UncertainObject> = Vec::read_from(r)?;
         let ref_table = read_ref_table(&objects, r)?;
-        let rtree = RTree::build_index_only(&objects, Arc::new(PageStore::new()));
+        let rtree = RTree::build(&objects, Arc::new(PageStore::new()));
         Ok(Self {
             objects,
             domain,
@@ -727,6 +751,18 @@ mod tests {
         (ds, sys, router)
     }
 
+    /// Every entry of `tree` in traversal order: id, MBC bits and pointer.
+    fn rtree_entries(tree: &RTree, domain: Rect) -> Vec<(ObjectId, [u64; 3], u64)> {
+        let radius = domain.width() + domain.height();
+        tree.range_circle(domain.center(), radius)
+            .into_iter()
+            .map(|e| {
+                let mbc = [e.mbc.center.x, e.mbc.center.y, e.mbc.radius].map(f64::to_bits);
+                (e.id, mbc, e.ptr)
+            })
+            .collect()
+    }
+
     fn assert_tables_match(sys: &UvSystem, router: &DerivationRouter) {
         assert_eq!(sys.objects().len(), router.objects().len());
         assert_eq!(sys.domain(), router.domain());
@@ -736,6 +772,11 @@ mod tests {
             assert_eq!(a.reference_ids(), b.reference_ids(), "refs of {}", o.id);
             assert_eq!(a.sensitivity(), b.sensitivity(), "sensitivity of {}", o.id);
         }
+        // One packing: the same entries, pointers included, in the same
+        // leaves.
+        let entries = rtree_entries(sys.rtree(), sys.domain());
+        assert_eq!(entries.len(), sys.objects().len());
+        assert_eq!(entries, rtree_entries(&router.rtree, router.domain()));
     }
 
     #[test]
@@ -775,7 +816,18 @@ mod tests {
         assert_eq!(b.leaves_refined, 0);
         assert_eq!(b.total_leaves, 0);
         assert_tables_match(&sys, &router);
-        let _ = ds;
+
+        // A batch that grows the domain re-derives every object on both.
+        let outside = Point::new(ds.domain.max_x + 400.0, ds.domain.min_y + 900.0);
+        let growth = UpdateBatch::new()
+            .insert(UncertainObject::with_uniform(901, outside, 12.0))
+            .move_to(43, Point::new(3_300.0, 6_600.0));
+        let a = sys.apply(growth.clone()).unwrap();
+        let b = router.apply(growth).unwrap();
+        assert!(a.domain_grown && b.domain_grown);
+        assert_eq!(a.objects_rederived, b.objects_rederived);
+        assert_eq!(a.epoch, b.epoch);
+        assert_tables_match(&sys, &router);
     }
 
     #[test]
@@ -876,6 +928,35 @@ mod tests {
         )
         .unwrap();
         assert_tables_match(&sys, &loaded);
+    }
+
+    #[test]
+    fn persisted_router_domain_must_be_finite_and_ordered() {
+        let (ds, _, router) = fixture(40);
+        let mut bytes = Vec::new();
+        router.write_state(&mut bytes).unwrap();
+        // The domain follows the configuration and the method tag.
+        let at = uv_store::codec::to_bytes(&router.config).len() + 1;
+        let inverted = Rect {
+            min_x: ds.domain.max_x,
+            max_x: ds.domain.min_x,
+            ..ds.domain
+        };
+        for domain in [
+            inverted,
+            Rect {
+                max_y: f64::NAN,
+                ..ds.domain
+            },
+        ] {
+            let mut forged = bytes.clone();
+            forged[at..at + 32].copy_from_slice(&uv_store::codec::to_bytes(&domain));
+            let err = DerivationRouter::read_state(&mut forged.as_slice()).unwrap_err();
+            assert!(
+                matches!(&err, UvError::SnapshotCorrupt(m) if m.contains("domain")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -37,9 +37,10 @@
 //! # The derivation-only router
 //!
 //! One [`DerivationRouter`] over the whole dataset — objects, an index-only
-//! R-tree and the sensitivity table, no grid and no pages — is the only
-//! thing that derives and the only R-tree: a shard's [`UvSystem::rtree`] is
-//! empty, so the Figure 6 baseline ([`UvSystem::pnn_rtree`]) runs unsharded.
+//! R-tree (page-backed, its counters not exposed) and the sensitivity
+//! table, no grid and no object pages — is the only thing that derives and
+//! the only R-tree: a shard's [`UvSystem::rtree`] is empty, so the Figure 6
+//! baseline ([`UvSystem::pnn_rtree`]) runs unsharded.
 //! [`DerivationRouter::apply`] is the validated, atomic global transition
 //! (update steps 1–8). Build, domain growth and reshard rebuilds index each
 //! shard's halo from the router's states, and [`ShardedUvSystem::apply`]
@@ -95,8 +96,6 @@
 //! typed [`UvError`]s, never a panic, and derives nothing. Shard slots are
 //! allocated as their sections arrive, so a META section claiming a large
 //! grid reserves nothing for shards the input does not hold.
-
-#![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
 use crate::builder::{mbcs_of, Method};
 use crate::config::UvConfig;
@@ -447,7 +446,8 @@ pub struct ReshardStats {
 #[derive(Debug)]
 pub struct ShardedUvSystem {
     /// The derivation-only routing authority: objects, domain, index-only
-    /// R-tree and the sensitivity table — no grid, no pages.
+    /// R-tree and the sensitivity table — no grid and no object pages; the
+    /// R-tree's leaf pages are its only pages.
     router: DerivationRouter,
     /// The shard grid: uniform `num_shards × num_shards` at build, elastic
     /// after.
@@ -722,8 +722,8 @@ impl ShardedUvSystem {
     }
 
     /// The derivation-only router: the update authority holding the live
-    /// object set, the domain and the per-object sensitivity table — and
-    /// nothing else (no grid, no pages).
+    /// object set, the domain, the R-tree it derives with and the per-object
+    /// sensitivity table — and nothing else (no grid, no object pages).
     pub fn router(&self) -> &DerivationRouter {
         &self.router
     }
@@ -1178,8 +1178,9 @@ impl ShardedUvSystem {
         Self::load_snapshot(&mut r)
     }
 
-    /// Resets the I/O counters of every shard (the router holds no pages,
-    /// so it has none).
+    /// Resets the I/O counters of every shard. The router's R-tree pages
+    /// count I/O too, but no counter of theirs is exposed, so they are left
+    /// alone.
     pub fn reset_io(&self) {
         for shard in &self.shards {
             shard.reset_io();
@@ -1188,7 +1189,6 @@ impl ShardedUvSystem {
 }
 
 #[cfg(test)]
-#[allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

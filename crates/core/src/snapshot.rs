@@ -9,7 +9,8 @@
 //! state on disk. This module persists it:
 //!
 //! * the [`uv_data::ObjectStore`] pages and directory;
-//! * the packed [`uv_rtree::RTree`] and its leaf pages;
+//! * the packed [`uv_rtree::RTree`] and its leaf pages (index-only entries,
+//!   which carry the null record pointer);
 //! * the [`UvIndex`] grid — nodes, member lists, epoch, free slots and the
 //!   budget flag, plus its leaf page store;
 //! * every page store's free set, so a loaded store reuses freed pages in
@@ -68,7 +69,7 @@ use crate::router::DerivationRouter;
 use crate::stats::ConstructionStats;
 use crate::subscribe::SubscriptionTable;
 use crate::system::UvSystem;
-use crate::update::{ObjectState, RefTable};
+use crate::update::{validate_domain, ObjectState, RefTable};
 use crate::UvError;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -132,7 +133,10 @@ pub const MAGIC: [u8; 8] = *b"UVDSNAP\0";
 ///   grid pages and grid state, and construction statistics, while
 ///   objects, reference states, configuration and domain come from the
 ///   ROUTER section alone. Shards hold no R-tree. A v6 snapshot is
-///   rejected.
+///   rejected. Since the unsharded R-tree became index-only, its leaf
+///   entries carry the null record pointer; an older v7 snapshot's entries
+///   still hold record pointers, which load and answer alike (nothing reads
+///   them), and its next apply repacks them away.
 pub const FORMAT_VERSION: u32 = 7;
 
 mod tag {
@@ -623,6 +627,8 @@ impl UvSystem {
         let meta = read_section(r, tag::META)?;
         let mut meta_r: &[u8] = &meta;
         let domain = Rect::read_from(&mut meta_r)?;
+        validate_domain(&domain)
+            .map_err(|e| UvError::SnapshotCorrupt(format!("persisted domain: {e}")))?;
         let method = Method::read_from(&mut meta_r)?;
 
         let objects: Vec<UncertainObject> =
@@ -1057,6 +1063,26 @@ mod tests {
         let err = UvSystem::load_snapshot(&mut bytes.as_slice()).unwrap_err();
         assert!(
             matches!(&err, UvError::SnapshotCorrupt(m) if m.contains("max_edge_len_fraction")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn persisted_domain_with_a_nan_edge_fails_to_load() {
+        let (_, sys) = fixture(60);
+        let mut bytes = snapshot_bytes(&sys);
+        // META follows CONFIG. Re-frame it with a NaN west edge and a valid
+        // checksum, so that only the domain check can reject it.
+        let section_len = |at: usize| u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap());
+        let meta = 20 + 17 + section_len(20) as usize;
+        assert_eq!(bytes[meta], tag::META);
+        let (start, end) = (meta + 9, meta + 9 + section_len(meta) as usize);
+        bytes[start..start + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        let checksum = fnv64(&bytes[start..end]);
+        bytes[end..end + 8].copy_from_slice(&checksum.to_le_bytes());
+        let err = UvSystem::load_snapshot(&mut bytes.as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, UvError::SnapshotCorrupt(m) if m.contains("domain")),
             "{err:?}"
         );
     }

@@ -82,8 +82,6 @@
 //! a certified miss stores the answer ids and the bit-identical safe region
 //! an integrating one would.
 
-#![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
-
 use crate::engine::{EngineScratch, QueryEngine, RoutedView};
 use crate::error::UvError;
 use crate::pool::fan_out;
@@ -1093,7 +1091,6 @@ pub(crate) fn answer_stability_radius(
 }
 
 #[cfg(test)]
-#[allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::{Method, UvConfig, UvSystem};

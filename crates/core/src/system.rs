@@ -9,15 +9,12 @@
 //! routed serving body of [`crate::engine`], this system being the 1×1
 //! layout, and updates end in the grid-repair step shards share too.
 
-#![deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
-
-use crate::builder::{build_grid, entries_of, mbcs_of, GridCtx, Method};
+use crate::builder::{build_grid, mbcs_of, GridCtx, Method};
 use crate::config::UvConfig;
 use crate::engine::{QueryEngine, TrajectoryStep};
 use crate::index::UvIndex;
 use crate::router::{DerivationReport, DerivationRouter};
 use crate::stats::ConstructionStats;
-use crate::update::validate_objects;
 use std::collections::HashMap;
 use std::sync::Arc;
 use uv_data::{ObjectId, ObjectStore, PnnAnswer, UncertainObject};
@@ -39,10 +36,10 @@ use uv_store::PageStore;
 /// with zero re-derivation — see [`crate::snapshot`].
 #[derive(Debug)]
 pub struct UvSystem {
-    /// Objects, domain, R-tree (with record pointers into `object_store`)
-    /// and the per-object reference table: the derivation pipeline every
-    /// update runs through. A shard's router never derives — it holds the
-    /// sharded system's router states for its halo members.
+    /// Objects, domain, the R-tree and the per-object reference table: the
+    /// derivation pipeline every update runs through, and the only owner of
+    /// the R-tree. A shard's router never derives — it holds the sharded
+    /// system's router states for its halo members.
     pub(crate) router: DerivationRouter,
     pub(crate) object_store: ObjectStore,
     pub(crate) index: UvIndex,
@@ -50,10 +47,13 @@ pub struct UvSystem {
 }
 
 impl UvSystem {
-    /// Builds the object store, the R-tree and the UV-index (with `method`)
-    /// over `objects`.
+    /// Builds the system over `objects`: the [`DerivationRouter`] (the
+    /// R-tree and every object's derivation with `method`, through the
+    /// constructor [`DerivationRouter::build`] runs too), then the object
+    /// store and the UV-index.
     ///
-    /// A configuration that fails [`UvConfig::validate`] is reported as
+    /// A configuration that fails [`UvConfig::validate`], or a domain with a
+    /// non-finite edge or `min >= max` on an axis, is reported as
     /// [`crate::UvError::InvalidConfig`] — construction never panics on bad
     /// tuning. An object with a non-finite centre, a negative or non-finite
     /// radius, or a histogram with no bars or a negative or non-finite bar
@@ -65,13 +65,9 @@ impl UvSystem {
         method: Method,
         config: UvConfig,
     ) -> Result<Self, crate::UvError> {
-        config.validate()?;
-        validate_objects(&objects)?;
-        let object_pages = Arc::new(PageStore::new());
-        let object_store = ObjectStore::build(Arc::clone(&object_pages), &objects);
-        let rtree_pages = Arc::new(PageStore::new());
-        let rtree = RTree::build(&objects, &object_store, rtree_pages);
-        let (router, report) = DerivationRouter::derive(objects, domain, rtree, method, config);
+        let (router, report) =
+            DerivationRouter::build_with_report(objects, domain, method, config)?;
+        let object_store = ObjectStore::build(Arc::new(PageStore::new()), &router.objects);
         let mbcs = mbcs_of(&router.objects);
         Ok(Self::assemble(router, object_store, &mbcs, &report))
     }
@@ -169,9 +165,11 @@ impl UvSystem {
         &self.index
     }
 
-    /// The R-tree baseline over the same objects. A shard of a
-    /// [`crate::ShardedUvSystem`] never derives and holds no R-tree: its
-    /// tree is empty.
+    /// The R-tree over the same objects: the derivation's probe structure
+    /// and the Figure 6 baseline. It is index-only — its entries carry the
+    /// null record pointer, and [`UvSystem::pnn_rtree`] fetches records by
+    /// id. A shard of a [`crate::ShardedUvSystem`] never derives and holds
+    /// no R-tree: its tree is empty.
     pub fn rtree(&self) -> &RTree {
         &self.router.rtree
     }
@@ -267,10 +265,9 @@ pub(crate) fn index_grid(
     report: &DerivationReport,
     store: Arc<PageStore>,
 ) -> (UvIndex, ConstructionStats) {
-    let entries = entries_of(&router.objects, object_store);
     let ctx = GridCtx {
         mbcs,
-        entries: &entries,
+        object_store,
         states: &router.ref_table,
     };
     build_grid(
@@ -284,7 +281,6 @@ pub(crate) fn index_grid(
 }
 
 #[cfg(test)]
-#[allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use uv_data::{Dataset, GeneratorConfig};
@@ -360,9 +356,7 @@ mod tests {
         // in the builder: every rejection `UvConfig::validate` can
         // produce must surface as `UvError::InvalidConfig` from the public
         // construction entry points.
-        use crate::builder::build_uv_index;
         use crate::UvError;
-        use uv_store::PageStore;
 
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(30));
         let base = UvConfig::default();
@@ -406,22 +400,6 @@ mod tests {
             let err = UvSystem::build(ds.objects.clone(), ds.domain, Method::IC, config)
                 .expect_err("invalid config must be rejected");
             assert_eq!(err, expected, "UvSystem::build: {config:?}");
-
-            // The free-standing builder surfaces the same typed error.
-            let pages = Arc::new(PageStore::new());
-            let object_store = ObjectStore::build(Arc::clone(&pages), &ds.objects);
-            let rtree = RTree::build(&ds.objects, &object_store, pages);
-            let err = build_uv_index(
-                &ds.objects,
-                &object_store,
-                &rtree,
-                ds.domain,
-                Arc::new(PageStore::new()),
-                Method::ICR,
-                config,
-            )
-            .expect_err("invalid config must be rejected");
-            assert_eq!(err, expected, "build_uv_index: {config:?}");
         }
     }
 

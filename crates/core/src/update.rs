@@ -31,11 +31,11 @@
 //!    and re-evaluates the canonical split/merge condition where member
 //!    counts crossed it. Untouched leaves are not read, not rewritten, not
 //!    even visited.
-//! 4. **Substrate rebuild.** The packed (STR) R-tree is bulk-reloaded from
-//!    the updated object set every batch — deterministic, cheap
-//!    (`O(n log n)` comparisons, no UV geometry), and it guarantees that
-//!    re-derived objects see exactly the tree a cold build would query. The
-//!    expensive, localized part — cr-derivation and leaf refinement — is
+//! 4. **Substrate rebuild.** The router's packed (STR) R-tree is
+//!    bulk-reloaded from the updated object set every batch — deterministic,
+//!    cheap (`O(n log n)` comparisons, no UV geometry), and it guarantees
+//!    that re-derived objects see exactly the tree a cold build would query.
+//!    The expensive, localized part — cr-derivation and leaf refinement — is
 //!    what the affected bounds confine.
 //! 5. **Live bytes only.** Every writer frees the pages it replaces before
 //!    it allocates: a rewritten, split or collapsed leaf frees its page list
@@ -48,14 +48,15 @@
 //! # One pipeline
 //!
 //! [`UvSystem::apply`] is the system's [`crate::DerivationRouter`]
-//! pipeline — validation, net diff, domain growth, affected set,
-//! re-derivation and the dirty diff (steps 1–8, [`crate::router`]) —
-//! followed by one grid-repair step, driven by the change record the router
-//! returns: the localized repair and budget reconciliation of this module
-//! (steps 9–10), or the canonical re-index after domain growth. The sharded
-//! layer runs the same two halves: its router derives once, and every
-//! touched shard runs the same grid-repair step on its share of the record
-//! ([`crate::shard`]).
+//! pipeline — validation, net diff, R-tree repack, domain growth, affected
+//! set, re-derivation and the dirty diff (steps 1–8, [`crate::router`]) —
+//! followed by the object store taking the net difference and one
+//! grid-repair step, both driven by the change record the router returns:
+//! the localized repair and budget reconciliation of this module (steps
+//! 9–10), or the canonical re-index after domain growth. The sharded layer
+//! runs the same halves: its router derives once, and every touched shard
+//! applies its share of the record to its object store and runs the same
+//! grid-repair step ([`crate::shard`]).
 //!
 //! # No full rebuilds
 //!
@@ -99,8 +100,7 @@
 //! to hold a live [`crate::QueryEngine`] across a mutation.
 
 use crate::builder::{
-    entries_of, grow_node, make_leaf, mbcs_of, reconcile_budget, split_members, GridCtx, GrowStats,
-    NodeBudget,
+    grow_node, make_leaf, mbcs_of, reconcile_budget, split_members, GridCtx, GrowStats, NodeBudget,
 };
 use crate::crobjects::UpdateSensitivity;
 use crate::index::{GridNode, UvIndex};
@@ -111,7 +111,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use uv_data::{ObjectId, Pdf, UncertainObject};
 use uv_geom::{Circle, Point, Rect};
-use uv_rtree::RTree;
 
 /// Per-object state the system retains between updates: the reference ids
 /// the object was indexed under and the sensitivity bound that decides when
@@ -379,15 +378,15 @@ impl UvSystem {
     /// never falls back to a full rebuild. Bumps the index epoch exactly
     /// once when the net difference is non-empty.
     ///
-    /// Steps 1–8 are the system's [`crate::DerivationRouter`] pipeline (the
-    /// object store is updated and the R-tree repacked in its re-indexing
-    /// step); the grid-repair step every shard shares does the rest.
+    /// Steps 1–8 are the system's [`crate::DerivationRouter`] pipeline,
+    /// which also repacks the R-tree; the object store then takes the net
+    /// difference, as a shard's does, and the grid-repair step every shard
+    /// shares does the rest.
     pub fn apply(&mut self, batch: UpdateBatch) -> Result<UpdateStats, UvError> {
-        let object_store = &mut self.object_store;
-        let change = self.router.apply_with(batch, |objects, diff, pages| {
-            diff.apply_to_store(object_store);
-            RTree::build(objects, object_store, pages)
-        })?;
+        let change = self.router.apply_change(batch)?;
+        change
+            .net_diff(&self.router.objects)
+            .apply_to_store(&mut self.object_store);
         let noop = change.is_noop();
         let mut stats = change.stats;
         stats.total_leaves = self.index.num_leaf_nodes();
@@ -433,10 +432,9 @@ impl UvSystem {
             return;
         }
         let entry_dirty: HashSet<ObjectId> = edit.entry_dirty.iter().copied().collect();
-        let entries = entries_of(&self.router.objects, &self.object_store);
         let ctx = GridCtx {
             mbcs,
-            entries: &entries,
+            object_store: &self.object_store,
             states: &self.router.ref_table,
         };
 
@@ -538,6 +536,23 @@ pub(crate) fn grow_domain(mut domain: Rect, needed: &Rect) -> Rect {
         }
     }
     domain
+}
+
+/// Validation of the domain a build starts from or a snapshot persists:
+/// every edge finite and `min < max` on both axes. [`grow_domain`] compares
+/// against these edges, and from a NaN edge it would never stop growing.
+pub(crate) fn validate_domain(domain: &Rect) -> Result<(), UvError> {
+    let edges = [domain.min_x, domain.min_y, domain.max_x, domain.max_y];
+    if edges.iter().all(|e| e.is_finite())
+        && domain.min_x < domain.max_x
+        && domain.min_y < domain.max_y
+    {
+        Ok(())
+    } else {
+        Err(UvError::InvalidConfig(
+            "the domain needs finite edges and min < max on both axes",
+        ))
+    }
 }
 
 /// Validation of an object entering the system, by a build or an insert:
@@ -718,7 +733,7 @@ impl Repairer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Method, ShardedUvSystem, UvConfig};
+    use crate::{DerivationRouter, Method, ShardedUvSystem, UvConfig};
     use uv_data::{Dataset, GeneratorConfig};
 
     fn system(n: usize, config: UvConfig) -> (Dataset, UvSystem) {
@@ -910,6 +925,76 @@ mod tests {
             ..objects[3].clone()
         });
         assert_eq!(build(objects).unwrap_err(), UvError::DuplicateObject(7));
+    }
+
+    #[test]
+    fn every_build_rejects_a_non_finite_or_inverted_domain() {
+        let ds = Dataset::generate(GeneratorConfig::paper_uniform(40));
+        let good = ds.domain;
+        let bad_domains = [
+            Rect {
+                min_x: f64::NAN,
+                ..good
+            },
+            Rect {
+                max_y: f64::NAN,
+                ..good
+            },
+            Rect {
+                max_x: f64::INFINITY,
+                ..good
+            },
+            Rect {
+                min_y: f64::NEG_INFINITY,
+                ..good
+            },
+            Rect {
+                min_x: good.max_x,
+                max_x: good.min_x,
+                ..good
+            },
+            Rect {
+                min_y: good.max_y,
+                max_y: good.min_y,
+                ..good
+            },
+        ];
+        let config = UvConfig::default().with_num_shards(2);
+        for domain in bad_domains {
+            let objects = || ds.objects.clone();
+            let errors = [
+                UvSystem::build(objects(), domain, Method::IC, config).unwrap_err(),
+                ShardedUvSystem::build(objects(), domain, Method::IC, config).unwrap_err(),
+                DerivationRouter::build(objects(), domain, Method::IC, config).unwrap_err(),
+            ];
+            for err in errors {
+                assert!(
+                    matches!(err, UvError::InvalidConfig(_)),
+                    "{domain:?}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn growth_past_the_largest_finite_coordinate_is_rejected() {
+        let (_, mut sys) = system(40, UvConfig::default());
+        let (domain, before) = (sys.domain(), canonical_leaves(&sys));
+        // Doubling the east edge toward 1.7e308 would pass f64::MAX.
+        let far = UncertainObject::with_uniform(900, Point::new(1.7e308, 5_000.0), 10.0);
+        assert_eq!(
+            sys.insert_object(far).unwrap_err(),
+            UvError::InvalidObject(900)
+        );
+        assert_eq!((sys.domain(), sys.index().epoch()), (domain, 0));
+        assert_eq!(canonical_leaves(&sys), before);
+        // Growth that stays finite is applied, and the system reloads.
+        let far = UncertainObject::with_uniform(901, Point::new(1.0e308, 5_000.0), 10.0);
+        assert!(sys.insert_object(far).unwrap().domain_grown);
+        let mut bytes = Vec::new();
+        sys.save_snapshot(&mut bytes).unwrap();
+        let loaded = UvSystem::load_snapshot(&mut bytes.as_slice()).unwrap();
+        assert_eq!(loaded.domain(), sys.domain());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use uv_core::crobjects::derive_cr_objects;
 use uv_core::{Method, UvConfig, UvSystem};
-use uv_data::{Dataset, GeneratorConfig, ObjectStore, UncertainObject};
+use uv_data::{Dataset, GeneratorConfig, UncertainObject};
 use uv_rtree::RTree;
 use uv_store::codec::fnv64;
 use uv_store::PageStore;
@@ -25,8 +25,7 @@ fn push_bits(bytes: &mut Vec<u8>, values: impl IntoIterator<Item = f64>) {
 
 /// FNV-64 over every object's `derive_cr_objects` output, in id order.
 fn derivation_digest(objects: &[UncertainObject], domain: uv_geom::Rect, config: &UvConfig) -> u64 {
-    let store = ObjectStore::build(Arc::new(PageStore::new()), objects);
-    let rtree = RTree::build(objects, &store, Arc::new(PageStore::new()));
+    let rtree = RTree::build(objects, Arc::new(PageStore::new()));
     let mut bytes = Vec::new();
     for subject in objects {
         let cr = derive_cr_objects(subject, &rtree, objects, &domain, config);

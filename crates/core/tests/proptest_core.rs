@@ -7,7 +7,7 @@ use uv_core::cell::build_exact_cell;
 use uv_core::crobjects::{cr_objects_cover_r_objects, derive_cr_objects};
 use uv_core::index::check_overlap;
 use uv_core::{PossibleRegion, UvConfig};
-use uv_data::{ObjectStore, UncertainObject};
+use uv_data::UncertainObject;
 use uv_geom::{Circle, Point, Rect};
 use uv_rtree::RTree;
 use uv_store::PageStore;
@@ -85,9 +85,7 @@ proptest! {
     #[test]
     fn cr_objects_cover_exact_r_objects(objects in objects_strategy(3, 20)) {
         let domain = Rect::square(DOMAIN_SIDE);
-        let pages = Arc::new(PageStore::new());
-        let store = ObjectStore::build(Arc::clone(&pages), &objects);
-        let rtree = RTree::build(&objects, &store, pages);
+        let rtree = RTree::build(&objects, Arc::new(PageStore::new()));
         let cfg = config();
         for subject in objects.iter().take(4) {
             let cr = derive_cr_objects(subject, &rtree, &objects, &domain, &cfg);

@@ -1,11 +1,14 @@
 //! Page-backed object storage shared by both indexes.
 //!
 //! Leaf pages of the R-tree and of the UV-index store `<ID, MBC, pointer>`
-//! tuples ([`ObjectEntry`]); the pointer refers to the full object record —
-//! uncertainty region plus pdf — kept in the [`ObjectStore`]. Retrieving the
-//! pdf of an answer candidate is the "object retrieval" component of the
-//! query-time breakdown in Figure 6(c) and is charged one page read per
-//! object page, identically for both indexes.
+//! tuples ([`ObjectEntry`]). In a UV-index entry the pointer refers to the
+//! full object record — uncertainty region plus pdf — kept in the
+//! [`ObjectStore`]; the R-tree is index-only, so its entries carry the null
+//! pointer (`0`). Both indexes fetch a record by id
+//! ([`ObjectStore::fetch`]). Retrieving the pdf of an answer candidate is
+//! the "object retrieval" component of the query-time breakdown in Figure
+//! 6(c) and is charged one page read per object page, identically for both
+//! indexes.
 
 use crate::object::{ObjectId, UncertainObject};
 use crate::pdf::Pdf;
@@ -24,7 +27,8 @@ pub struct ObjectEntry {
     pub id: ObjectId,
     /// Minimum bounding circle of the object's uncertainty region.
     pub mbc: Circle,
-    /// Disk address of the full object record (page holding its pdf).
+    /// Disk address of the full object record (page holding its pdf), or
+    /// the null pointer `0` in an index-only R-tree entry.
     pub ptr: u64,
 }
 

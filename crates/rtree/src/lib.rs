@@ -10,7 +10,9 @@
 //!
 //! The same tree also serves as a substrate for UV-index construction: seed
 //! selection issues k-NN queries on it and I-pruning issues circular range
-//! queries (Section IV).
+//! queries (Section IV). Neither probe reads a record through a leaf entry,
+//! and the baseline fetches records by id, so the tree is index-only: its
+//! entries carry the null record pointer.
 //!
 //! *The paper-to-code map for the whole workspace — every definition, lemma,
 //! algorithm and experiment of the paper, with its module and key functions —

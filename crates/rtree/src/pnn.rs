@@ -185,7 +185,6 @@ mod tests {
         let objects = ObjectStore::build(Arc::clone(&pages), &ds.objects);
         let tree = RTree::bulk_load(
             &ds.objects,
-            &objects,
             Arc::clone(&pages),
             RTreeConfig {
                 fanout: 16,
@@ -253,7 +252,7 @@ mod tests {
     fn empty_tree_returns_empty_answer() {
         let pages = Arc::new(PageStore::new());
         let objects = ObjectStore::build(Arc::clone(&pages), &[]);
-        let tree = RTree::build(&[], &objects, pages);
+        let tree = RTree::build(&[], pages);
         let answer = pnn_query(&tree, &objects, Point::new(1.0, 1.0), 50);
         assert!(answer.probabilities.is_empty());
         assert_eq!(answer.candidates_examined, 0);
@@ -264,7 +263,7 @@ mod tests {
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(1));
         let pages = Arc::new(PageStore::new());
         let objects = ObjectStore::build(Arc::clone(&pages), &ds.objects);
-        let tree = RTree::build(&ds.objects, &objects, pages);
+        let tree = RTree::build(&ds.objects, pages);
         let answer = pnn_query(&tree, &objects, Point::new(9000.0, 200.0), 50);
         assert_eq!(answer.probabilities, vec![(0, 1.0)]);
     }
@@ -284,7 +283,7 @@ mod tests {
             10.0,
         ));
         let objects = ObjectStore::build(Arc::clone(&pages), &objs);
-        let tree = RTree::build(&objs, &objects, pages);
+        let tree = RTree::build(&objs, pages);
         let q = Point::new(500.0, 480.0);
         let answer = pnn_query(&tree, &objects, q, 60);
         assert_eq!(
@@ -336,7 +335,7 @@ mod tests {
             10.0,
         ));
         let objects = ObjectStore::build(Arc::clone(&pages), &objs);
-        let tree = RTree::build(&objs, &objects, pages); // used to panic here
+        let tree = RTree::build(&objs, pages); // used to panic here
         let q = Point::new(110.0, 400.0);
 
         // Both passes terminate; any probability that survives the positive

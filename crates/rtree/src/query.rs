@@ -162,17 +162,14 @@ mod tests {
     use super::*;
     use crate::tree::RTreeConfig;
     use std::sync::Arc;
-    use uv_data::{Dataset, GeneratorConfig, ObjectStore, UncertainObject};
+    use uv_data::{Dataset, GeneratorConfig, UncertainObject};
     use uv_store::PageStore;
 
     fn build(n: usize) -> (Dataset, RTree) {
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(n));
-        let pages = Arc::new(PageStore::new());
-        let objects = ObjectStore::build(Arc::clone(&pages), &ds.objects);
         let tree = RTree::bulk_load(
             &ds.objects,
-            &objects,
-            pages,
+            Arc::new(PageStore::new()),
             RTreeConfig {
                 fanout: 16,
                 leaf_capacity: 25,
@@ -279,7 +276,6 @@ mod tests {
         // Co-located objects produce exact distance ties; the result must be
         // sorted by (dist, id) and resolve boundary ties to smaller ids so
         // the answer is a pure function of the geometry, not the packing.
-        let pages = Arc::new(PageStore::new());
         let mut objects: Vec<UncertainObject> = (0..8u32)
             .map(|i| UncertainObject::with_uniform(i, Point::new(100.0, 100.0), 5.0))
             .collect();
@@ -288,8 +284,7 @@ mod tests {
             Point::new(300.0, 100.0),
             5.0,
         ));
-        let store = ObjectStore::build(Arc::clone(&pages), &objects);
-        let tree = RTree::build(&objects, &store, pages);
+        let tree = RTree::build(&objects, Arc::new(PageStore::new()));
         let q = Point::new(100.0, 100.0);
         // k = 4 cuts through an 8-way tie: the four smallest ids win.
         let got: Vec<u32> = tree.knn(q, 4, None).into_iter().map(|e| e.id).collect();
@@ -317,9 +312,7 @@ mod tests {
 
     #[test]
     fn queries_on_empty_tree() {
-        let pages = Arc::new(PageStore::new());
-        let objects = ObjectStore::build(Arc::clone(&pages), &[]);
-        let tree = RTree::build(&[], &objects, pages);
+        let tree = RTree::build(&[], Arc::new(PageStore::new()));
         assert!(tree.range_circle(Point::origin(), 100.0).is_empty());
         assert!(tree.knn(Point::origin(), 5, None).is_empty());
     }

@@ -4,11 +4,13 @@
 //! the x coordinate of their region centres, cut into vertical slices, sorted
 //! by y within each slice and packed into full leaves. Leaves are written to
 //! disk pages; the internal levels (fanout 100 by default) stay in memory,
-//! matching the experimental setup of the paper.
+//! matching the experimental setup of the paper. Leaf entries keep the
+//! paper's `<ID, MBC, pointer>` layout but carry the null pointer: nothing
+//! reads a record through the tree, so it is index-only.
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
-use uv_data::{ObjectEntry, ObjectStore, UncertainObject};
+use uv_data::{ObjectEntry, UncertainObject};
 use uv_geom::Rect;
 use uv_store::codec::{corrupt, Decode, Encode};
 use uv_store::{ensure_disjoint, PageStore, PagedList};
@@ -70,39 +72,21 @@ pub struct RTree {
 }
 
 impl RTree {
-    /// Bulk-loads an R-tree over `objects`, storing leaf pages in `store` and
-    /// taking the object-record pointers from `object_store`.
+    /// Bulk-loads an R-tree over `objects`, storing its leaf pages in
+    /// `store`. The tree is *index-only*: every leaf entry carries the null
+    /// record pointer (`0`), since neither of its uses dereferences one —
+    /// the k-NN and range probes of the derivation read ids and MBCs, and
+    /// the branch-and-prune baseline ([`crate::pnn_query`]) fetches records
+    /// by id from the object store.
     pub fn bulk_load(
         objects: &[UncertainObject],
-        object_store: &ObjectStore,
-        store: Arc<PageStore>,
-        config: RTreeConfig,
-    ) -> Self {
-        let entries: Vec<ObjectEntry> = objects
-            .iter()
-            .map(|o| ObjectEntry::new(o, object_store.ptr_of(o.id)))
-            .collect();
-        Self::bulk_load_entries(entries, store, config)
-    }
-
-    /// Bulk-loads an *index-only* R-tree: leaf entries carry the null record
-    /// pointer (`0`) instead of an [`ObjectStore`] offset, so the tree needs
-    /// no object pages at all. Geometry queries (`knn`, range) are identical
-    /// to [`RTree::bulk_load`] over the same objects — only record retrieval
-    /// through the pointers is unavailable. Used by derivation-only services
-    /// that never dereference leaf pointers.
-    pub fn build_index_only(objects: &[UncertainObject], store: Arc<PageStore>) -> Self {
-        let entries: Vec<ObjectEntry> = objects.iter().map(|o| ObjectEntry::new(o, 0)).collect();
-        Self::bulk_load_entries(entries, store, RTreeConfig::default())
-    }
-
-    fn bulk_load_entries(
-        mut entries: Vec<ObjectEntry>,
         store: Arc<PageStore>,
         config: RTreeConfig,
     ) -> Self {
         assert!(config.fanout >= 2, "fanout must be at least 2");
         assert!(config.leaf_capacity >= 1, "leaf capacity must be positive");
+        let mut entries: Vec<ObjectEntry> =
+            objects.iter().map(|o| ObjectEntry::new(o, 0)).collect();
 
         let mut tree = Self {
             config,
@@ -169,13 +153,9 @@ impl RTree {
         tree
     }
 
-    /// Convenience constructor with the default configuration.
-    pub fn build(
-        objects: &[UncertainObject],
-        object_store: &ObjectStore,
-        store: Arc<PageStore>,
-    ) -> Self {
-        Self::bulk_load(objects, object_store, store, RTreeConfig::default())
+    /// [`RTree::bulk_load`] with the default configuration.
+    pub fn build(objects: &[UncertainObject], store: Arc<PageStore>) -> Self {
+        Self::bulk_load(objects, store, RTreeConfig::default())
     }
 
     /// Empties the tree and frees its leaf pages, so the next bulk load
@@ -365,17 +345,15 @@ mod tests {
     use uv_data::{Dataset, GeneratorConfig};
     use uv_geom::Point;
 
-    fn build_tree(n: usize) -> (Dataset, ObjectStore, RTree) {
+    fn build_tree(n: usize) -> (Dataset, RTree) {
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(n));
-        let pages = Arc::new(PageStore::new());
-        let objects = ObjectStore::build(Arc::clone(&pages), &ds.objects);
-        let tree = RTree::build(&ds.objects, &objects, Arc::clone(&pages));
-        (ds, objects, tree)
+        let tree = RTree::build(&ds.objects, Arc::new(PageStore::new()));
+        (ds, tree)
     }
 
     #[test]
     fn bulk_load_packs_all_objects() {
-        let (ds, _, tree) = build_tree(537);
+        let (ds, tree) = build_tree(537);
         assert_eq!(tree.len(), 537);
         assert!(!tree.is_empty());
         // 537 objects at 100 per leaf -> 6 leaves, one internal level.
@@ -392,9 +370,7 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let pages = Arc::new(PageStore::new());
-        let objects = ObjectStore::build(Arc::clone(&pages), &[]);
-        let tree = RTree::build(&[], &objects, pages);
+        let tree = RTree::build(&[], Arc::new(PageStore::new()));
         assert!(tree.is_empty());
         assert_eq!(tree.height(), 0);
         assert!(tree.root().is_none());
@@ -402,7 +378,7 @@ mod tests {
 
     #[test]
     fn single_leaf_tree() {
-        let (_, _, tree) = build_tree(40);
+        let (_, tree) = build_tree(40);
         assert_eq!(tree.num_leaves(), 1);
         assert_eq!(tree.height(), 1);
         assert_eq!(tree.num_internal_nodes(), 0);
@@ -411,7 +387,7 @@ mod tests {
 
     #[test]
     fn leaf_mbrs_cover_their_entries() {
-        let (_, _, tree) = build_tree(260);
+        let (_, tree) = build_tree(260);
         for leaf in &tree.leaves {
             assert_eq!(leaf.count, leaf.entries.len());
             for e in leaf.entries.read_all_uncounted() {
@@ -423,13 +399,11 @@ mod tests {
     #[test]
     fn fanout_is_respected() {
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(1000));
-        let pages = Arc::new(PageStore::new());
-        let objects = ObjectStore::build(Arc::clone(&pages), &ds.objects);
         let config = RTreeConfig {
             fanout: 4,
             leaf_capacity: 10,
         };
-        let tree = RTree::bulk_load(&ds.objects, &objects, pages, config);
+        let tree = RTree::bulk_load(&ds.objects, Arc::new(PageStore::new()), config);
         assert_eq!(tree.num_leaves(), 100);
         for node in &tree.internal_nodes {
             assert!(node.children.len() <= 4);
@@ -443,7 +417,7 @@ mod tests {
 
     #[test]
     fn every_object_is_stored_exactly_once() {
-        let (ds, _, tree) = build_tree(123);
+        let (ds, tree) = build_tree(123);
         let mut seen = vec![0u32; ds.len()];
         for leaf in &tree.leaves {
             for e in leaf.entries.read_all_uncounted() {
@@ -455,7 +429,7 @@ mod tests {
 
     #[test]
     fn state_roundtrip_preserves_structure_and_queries() {
-        let (ds, _, tree) = build_tree(537);
+        let (ds, tree) = build_tree(537);
         // Round-trip the page store and the tree state.
         let pages: PageStore =
             uv_store::codec::from_bytes(&uv_store::codec::to_bytes(&**tree.store())).unwrap();
@@ -501,8 +475,7 @@ mod tests {
 
         // An empty tree round-trips too.
         let empty_pages = Arc::new(PageStore::new());
-        let objects = ObjectStore::build(Arc::clone(&empty_pages), &[]);
-        let empty = RTree::build(&[], &objects, Arc::clone(&empty_pages));
+        let empty = RTree::build(&[], Arc::clone(&empty_pages));
         let mut state = Vec::new();
         empty.write_state(&mut state).unwrap();
         let back = RTree::read_state(empty_pages, &mut state.as_slice()).unwrap();
@@ -514,39 +487,42 @@ mod tests {
     fn clear_frees_the_leaves_for_the_next_bulk_load() {
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(537));
         let pages = Arc::new(PageStore::new());
-        let mut tree = RTree::build_index_only(&ds.objects, Arc::clone(&pages));
+        let mut tree = RTree::build(&ds.objects, Arc::clone(&pages));
         let leaf_pages = pages.num_pages();
         assert_eq!(leaf_pages, tree.num_leaves());
         tree.clear();
         assert!(tree.is_empty());
         assert!(tree.knn(Point::new(5_000.0, 5_000.0), 3, None).is_empty());
         assert_eq!((pages.num_pages(), pages.free_pages()), (0, leaf_pages));
-        let repacked = RTree::build_index_only(&ds.objects[..300], Arc::clone(&pages));
+        let repacked = RTree::build(&ds.objects[..300], Arc::clone(&pages));
         assert_eq!(pages.num_pages(), repacked.num_leaves());
         assert_eq!(pages.free_pages(), leaf_pages - repacked.num_leaves());
     }
 
     #[test]
     fn index_only_tree_answers_knn_identically_with_null_pointers() {
-        let (ds, _, tree) = build_tree(537);
-        let slim = RTree::build_index_only(&ds.objects, Arc::new(PageStore::new()));
-        assert_eq!(slim.len(), tree.len());
-        assert_eq!(slim.num_leaves(), tree.num_leaves());
-        for leaf in &slim.leaves {
+        let (ds, tree) = build_tree(537);
+        for leaf in &tree.leaves {
             for e in leaf.entries.read_all_uncounted() {
                 assert_eq!(e.ptr, 0, "index-only entries must carry the null pointer");
             }
         }
+        // k-NN is canonical, so another packing of the same objects agrees.
+        let config = RTreeConfig {
+            fanout: 4,
+            leaf_capacity: 10,
+        };
+        let other = RTree::bulk_load(&ds.objects, Arc::new(PageStore::new()), config);
         for q in ds.query_points(10, 11) {
             let a: Vec<u32> = tree.knn(q, 12, None).into_iter().map(|e| e.id).collect();
-            let b: Vec<u32> = slim.knn(q, 12, None).into_iter().map(|e| e.id).collect();
+            let b: Vec<u32> = other.knn(q, 12, None).into_iter().map(|e| e.id).collect();
             assert_eq!(a, b, "index-only knn diverged at {q:?}");
         }
     }
 
     #[test]
     fn entries_keep_object_geometry() {
-        let (ds, _, tree) = build_tree(60);
+        let (ds, tree) = build_tree(60);
         let q = Point::new(5000.0, 5000.0);
         for leaf in &tree.leaves {
             for e in leaf.entries.read_all_uncounted() {

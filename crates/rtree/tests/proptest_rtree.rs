@@ -25,7 +25,6 @@ fn build(objects: &[UncertainObject]) -> (ObjectStore, RTree) {
     let store = ObjectStore::build(Arc::clone(&pages), objects);
     let tree = RTree::bulk_load(
         objects,
-        &store,
         pages,
         RTreeConfig {
             fanout: 4,

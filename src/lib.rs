@@ -43,10 +43,10 @@ pub use uv_store as store;
 /// Commonly used items, re-exported for `use uv_diagram::prelude::*`.
 pub mod prelude {
     pub use uv_core::{
-        build_uv_index, ClientId, ConstructionStats, Method, PartitionCell, PossibleRegion,
-        QueryEngine, SafeRegion, ShardedUpdateStats, ShardedUvSystem, SubscriptionEngine,
-        SubscriptionStats, SubscriptionTable, TrajectoryStep, UpdateBatch, UpdateOp, UpdateStats,
-        Updater, UvCell, UvConfig, UvError, UvIndex, UvSystem,
+        ClientId, ConstructionStats, Method, PartitionCell, PossibleRegion, QueryEngine,
+        SafeRegion, ShardedUpdateStats, ShardedUvSystem, SubscriptionEngine, SubscriptionStats,
+        SubscriptionTable, TrajectoryStep, UpdateBatch, UpdateOp, UpdateStats, Updater, UvCell,
+        UvConfig, UvError, UvIndex, UvSystem,
     };
     pub use uv_data::{
         AnswerDelta, Dataset, DatasetKind, GeneratorConfig, ObjectId, ObjectStore, Pdf, PnnAnswer,
