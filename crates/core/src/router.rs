@@ -705,8 +705,10 @@ impl DerivationRouter {
     }
 
     /// Inverse of [`DerivationRouter::write_state`]: decodes and validates
-    /// the slim state, then rebuilds the index-only R-tree from the object
-    /// set. Malformed input yields a typed [`UvError`], never a panic.
+    /// the slim state (configuration, domain and objects as a build
+    /// validates them, then the reference table), then rebuilds the
+    /// index-only R-tree from the object set. Malformed input yields a
+    /// typed [`UvError`], never a panic.
     pub(crate) fn read_state<R: Read + ?Sized>(r: &mut R) -> Result<Self, UvError> {
         let config = UvConfig::read_from(r)?;
         config.validate().map_err(|e| {
@@ -718,6 +720,8 @@ impl DerivationRouter {
             .map_err(|e| UvError::SnapshotCorrupt(format!("persisted router domain: {e}")))?;
         let epoch = u64::read_from(r)?;
         let objects: Vec<UncertainObject> = Vec::read_from(r)?;
+        validate_objects(&objects)
+            .map_err(|e| UvError::SnapshotCorrupt(format!("persisted router objects: {e}")))?;
         let ref_table = read_ref_table(&objects, r)?;
         let rtree = RTree::build(&objects, Arc::new(PageStore::new()));
         Ok(Self {

@@ -85,15 +85,18 @@
 //!
 //! [`ShardedUvSystem::save_snapshot`] writes [`SHARD_MAGIC`] and the
 //! [`crate::snapshot::FORMAT_VERSION`], then framed `uv_store::codec`
-//! sections: META, the layout's codec (`nx`, `ny` and both axes' exact
-//! boundaries, which reshards and growth make non-uniform); the router's
-//! slim state (config, method, domain, epoch, objects and reference table;
-//! the R-tree is rebuilt on load); and one section per shard with only its
-//! own state — member ids, object pages and directory, grid pages and
-//! state, construction statistics. Loading validates every checksum, the
-//! layout (1 to 1,024 slabs per axis, strictly increasing boundaries
-//! spanning the router's domain) and halo coverage, maps malformed input to
-//! typed [`UvError`]s, never a panic, and derives nothing. Shard slots are
+//! sections, each closed by the word-wide
+//! [`section_checksum`](uv_store::codec::section_checksum) of its payload:
+//! META, the layout's codec (`nx`, `ny` and both axes' exact boundaries,
+//! which reshards and growth make non-uniform); the router's slim state
+//! (config, method, domain, epoch, objects and reference table; the R-tree
+//! is rebuilt on load); and one section per shard with only its own state —
+//! member ids, object pages and directory, grid pages and state,
+//! construction statistics. Loading validates every checksum, the router's
+//! configuration, domain and objects as a build validates them, the layout
+//! (1 to 1,024 slabs per axis, strictly increasing boundaries spanning the
+//! router's domain) and halo coverage, maps malformed input to typed
+//! [`UvError`]s, never a panic, and derives nothing. Shard slots are
 //! allocated as their sections arrive, so a META section claiming a large
 //! grid reserves nothing for shards the input does not hold.
 
@@ -1095,11 +1098,12 @@ impl ShardedUvSystem {
 
     /// Loads a sharded snapshot written by
     /// [`ShardedUvSystem::save_snapshot`]: every section checksum, the
-    /// layout and halo coverage are validated, and every shard takes its
-    /// members' objects and states, the configuration and the domain from
-    /// the loaded router; malformed input is a typed [`UvError`], never a
-    /// panic. Shard slots are allocated as their sections arrive. Load
-    /// tallies start at zero.
+    /// router's objects (as a build validates them), the layout and halo
+    /// coverage are validated, and every shard takes its members' objects
+    /// and states, the configuration and the domain from the loaded
+    /// router; malformed input is a typed [`UvError`], never a panic. Shard
+    /// slots are allocated as their sections arrive. Load tallies start at
+    /// zero.
     pub fn load_snapshot<R: Read>(r: &mut R) -> Result<Self, UvError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;

@@ -35,11 +35,15 @@
 //! magic   b"UVDSNAP\0"                      8 bytes
 //! version u32 (= FORMAT_VERSION)            4 bytes
 //! config  u64 FNV-1a fingerprint            8 bytes
-//! then, in fixed order, framed sections     tag u8 | len u64 | payload | fnv64
+//! then, in fixed order, framed sections     tag u8 | len u64 | payload | checksum u64
 //!   1 CONFIG   2 META      3 OBJECTS   4 OBJECT_PAGES  5 OBJECT_STORE
 //!   6 RTREE_PAGES  7 RTREE  8 INDEX_PAGES  9 INDEX  10 REF_TABLE  11 STATS
 //!   12 SUBSCRIPTIONS
 //! ```
+//!
+//! The header fingerprint is the byte-serial [`fnv64`] of the CONFIG
+//! payload; each section's checksum is the word-wide
+//! [`section_checksum`](uv_store::codec::section_checksum) of its payload.
 //!
 //! A page store persists as its page size, every page id's bytes in order
 //! (a free page is empty) and then its free set. A page list, R-tree leaf
@@ -47,7 +51,9 @@
 //! out-of-range or non-empty page, are corruption.
 //!
 //! Every malformation maps to a typed [`UvError`], never a panic: a wrong
-//! magic, flipped byte, truncated stream or invariant-violating payload is
+//! magic, flipped byte, truncated stream or invariant-violating payload —
+//! among them an object that a build rejects (a non-finite centre, a
+//! negative radius, an invalid histogram) — is
 //! [`UvError::SnapshotCorrupt`]; an unknown `version` is
 //! [`UvError::SnapshotVersionMismatch`]; a header fingerprint that
 //! disagrees with the persisted configuration is [`UvError::ConfigMismatch`];
@@ -69,7 +75,7 @@ use crate::router::DerivationRouter;
 use crate::stats::ConstructionStats;
 use crate::subscribe::SubscriptionTable;
 use crate::system::UvSystem;
-use crate::update::{validate_domain, ObjectState, RefTable};
+use crate::update::{validate_domain, validate_objects, ObjectState, RefTable};
 use crate::UvError;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -137,7 +143,14 @@ pub const MAGIC: [u8; 8] = *b"UVDSNAP\0";
 ///   entries carry the null record pointer; an older v7 snapshot's entries
 ///   still hold record pointers, which load and answer alike (nothing reads
 ///   them), and its next apply repacks them away.
-pub const FORMAT_VERSION: u32 = 7;
+/// * **8** — every section's checksum is
+///   [`section_checksum`](uv_store::codec::section_checksum), FNV-1a's
+///   step over 8-byte words in four lanes, instead of the byte-serial
+///   FNV-1a 64, so a load verifies its sections at memory speed. Payloads,
+///   lengths and the header's configuration fingerprint (still FNV-1a 64)
+///   are unchanged; only the 8 checksum bytes of each section differ. A v7
+///   snapshot is rejected.
+pub const FORMAT_VERSION: u32 = 8;
 
 mod tag {
     pub const CONFIG: u8 = 1;
@@ -240,32 +253,43 @@ pub(crate) fn write_ref_table<W: Write + ?Sized>(table: &RefTable, w: &mut W) ->
 }
 
 /// Inverse of [`write_ref_table`], validated against the live `objects`:
-/// every entry names a live object, no object appears twice, and the table
-/// covers the whole object set.
+/// entries come in strictly ascending id order, each names a live object,
+/// and together they cover the whole object set.
 pub(crate) fn read_ref_table<R: Read + ?Sized>(
     objects: &[UncertainObject],
     r: &mut R,
 ) -> Result<RefTable, UvError> {
     let entries = usize::read_from(r)?;
-    let centers: HashMap<u32, Point> = objects.iter().map(|o| (o.id, o.center())).collect();
-    let mut table = RefTable::with_capacity(entries.min(4_096));
+    // Entries ascend by id, so one cursor over the live objects sorted by
+    // id finds every entry's subject.
+    let mut centers: Vec<(u32, Point)> = objects.iter().map(|o| (o.id, o.center())).collect();
+    centers.sort_unstable_by_key(|(id, _)| *id);
+    let mut live = centers.iter();
+    let mut table = RefTable::with_capacity(objects.len());
+    let mut prev: Option<u32> = None;
     for _ in 0..entries {
         let id = u32::read_from(r)?;
+        if prev.is_some_and(|p| p >= id) {
+            return Err(UvError::SnapshotCorrupt(format!(
+                "reference table ids not strictly ascending at {id}"
+            )));
+        }
+        prev = Some(id);
         // The subject centre anchors the d-bound radius recomputation, so
         // an entry for an unknown object is unreadable corruption.
-        let Some(center) = centers.get(&id) else {
+        let Some(&(_, center)) = live
+            .find(|(live_id, _)| *live_id >= id)
+            .filter(|(live_id, _)| *live_id == id)
+        else {
             return Err(UvError::SnapshotCorrupt(format!(
                 "reference table names unknown object {id}"
             )));
         };
-        let state = read_object_state(*center, r)?;
-        if table.insert(id, state).is_some() {
-            return Err(UvError::SnapshotCorrupt(format!(
-                "object {id} appears twice in the reference table"
-            )));
-        }
+        table.insert(id, read_object_state(center, r)?);
     }
-    if table.len() != objects.len() || objects.iter().any(|o| !table.contains_key(&o.id)) {
+    // Each entry took a distinct object off the cursor, so as many entries
+    // as objects means every object has one.
+    if table.len() != objects.len() {
         return Err(UvError::SnapshotCorrupt(
             "reference table does not cover the live object set".into(),
         ));
@@ -292,16 +316,20 @@ fn write_object_state<W: Write + ?Sized>(state: &ObjectState, w: &mut W) -> io::
 /// Inverse of [`write_object_state`]: `center` is the subject's centre, from
 /// which the d-bound radii are recomputed exactly as the derivation computed
 /// them (`Circle::new(v, v.dist(center))`), keeping loaded ≡ saved bit-exact.
+/// Each hull vertex decodes straight into its d-bound.
 fn read_object_state<R: Read + ?Sized>(center: Point, r: &mut R) -> io::Result<ObjectState> {
     let reference_ids = Vec::read_from(r)?;
     let knn_dist = f64::read_from(r)?;
     let prune_radius = f64::read_from(r)?;
     let seed_dists = Vec::read_from(r)?;
-    let hull: Vec<Point> = Vec::read_from(r)?;
-    let d_bounds = hull
-        .into_iter()
-        .map(|v| Circle::new(v, v.dist(center)))
-        .collect();
+    // Capped like the `Vec` decoder's allocation, so a corrupted count
+    // runs into end-of-input.
+    let vertices = usize::read_from(r)?;
+    let mut d_bounds = Vec::with_capacity(vertices.min(4_096));
+    for _ in 0..vertices {
+        let v = Point::read_from(r)?;
+        d_bounds.push(Circle::new(v, v.dist(center)));
+    }
     Ok(ObjectState {
         reference_ids,
         sensitivity: UpdateSensitivity {
@@ -633,6 +661,8 @@ impl UvSystem {
 
         let objects: Vec<UncertainObject> =
             uv_store::codec::from_bytes(&read_section(r, tag::OBJECTS)?)?;
+        validate_objects(&objects)
+            .map_err(|e| UvError::SnapshotCorrupt(format!("persisted objects: {e}")))?;
 
         let object_pages: PageStore =
             uv_store::codec::from_bytes(&read_section(r, tag::OBJECT_PAGES)?)?;
@@ -672,7 +702,6 @@ impl UvSystem {
         let subs_payload = read_section(r, tag::SUBSCRIPTIONS)?;
         let mut subs_r: &[u8] = &subs_payload;
         let num_clients = usize::read_from(&mut subs_r)?;
-        let live: std::collections::HashSet<u32> = objects.iter().map(|o| o.id).collect();
         let mut subscriptions = SubscriptionTable::new();
         let mut prev_id: Option<u64> = None;
         for _ in 0..num_clients {
@@ -695,7 +724,8 @@ impl UvSystem {
                     "subscription client {id} answer ids not strictly ascending"
                 )));
             }
-            if let Some(dead) = answer_ids.iter().find(|a| !live.contains(a)) {
+            // The reference table's keys are exactly the live ids.
+            if let Some(dead) = answer_ids.iter().find(|a| !ref_table.contains_key(a)) {
                 return Err(UvError::SnapshotCorrupt(format!(
                     "subscription client {id} answers with unknown object {dead}"
                 )));
@@ -819,9 +849,11 @@ impl UvSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedUvSystem;
     use crate::update::UpdateBatch;
-    use uv_data::{Dataset, GeneratorConfig};
+    use uv_data::{Dataset, GeneratorConfig, Pdf};
     use uv_geom::Point;
+    use uv_store::codec::section_checksum;
 
     fn fixture(n: usize) -> (Dataset, UvSystem) {
         let ds = Dataset::generate(GeneratorConfig::paper_uniform(n));
@@ -1058,7 +1090,7 @@ mod tests {
         let start = 8 + 4 + 8 + 1 + 8;
         let end = start + forged.len();
         bytes[start..end].copy_from_slice(&forged);
-        bytes[end..end + 8].copy_from_slice(&fnv64(&forged).to_le_bytes());
+        bytes[end..end + 8].copy_from_slice(&section_checksum(&forged).to_le_bytes());
         bytes[12..20].copy_from_slice(&fnv64(&forged).to_le_bytes());
         let err = UvSystem::load_snapshot(&mut bytes.as_slice()).unwrap_err();
         assert!(
@@ -1078,13 +1110,234 @@ mod tests {
         assert_eq!(bytes[meta], tag::META);
         let (start, end) = (meta + 9, meta + 9 + section_len(meta) as usize);
         bytes[start..start + 8].copy_from_slice(&f64::NAN.to_le_bytes());
-        let checksum = fnv64(&bytes[start..end]);
+        let checksum = section_checksum(&bytes[start..end]);
         bytes[end..end + 8].copy_from_slice(&checksum.to_le_bytes());
         let err = UvSystem::load_snapshot(&mut bytes.as_slice()).unwrap_err();
         assert!(
             matches!(&err, UvError::SnapshotCorrupt(m) if m.contains("domain")),
             "{err:?}"
         );
+    }
+
+    /// The framed sections after the `header` bytes: each one's tag and
+    /// payload range (its checksum follows the payload).
+    fn sections(bytes: &[u8], header: usize) -> Vec<(u8, std::ops::Range<usize>)> {
+        let mut found = Vec::new();
+        let mut at = header;
+        while at < bytes.len() {
+            let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+            found.push((bytes[at], at + 9..at + 9 + len));
+            at += 9 + len + 8;
+        }
+        found
+    }
+
+    /// Rewrites every section checksum after the `header` bytes, so that a
+    /// forged payload passes the framing and only semantic validation can
+    /// reject it.
+    fn reframe(bytes: &mut [u8], header: usize) {
+        for (_, payload) in sections(bytes, header) {
+            let checksum = section_checksum(&bytes[payload.clone()]);
+            bytes[payload.end..payload.end + 8].copy_from_slice(&checksum.to_le_bytes());
+        }
+    }
+
+    /// `bytes` with the payload of the section tagged `tag` replaced by
+    /// `payload`, framed with its own length and checksum.
+    fn with_section(bytes: &[u8], header: usize, tag: u8, payload: &[u8]) -> Vec<u8> {
+        let (_, old) = sections(bytes, header)
+            .into_iter()
+            .find(|(t, _)| *t == tag)
+            .expect("the snapshot has the section");
+        let mut out = bytes[..old.start - 9].to_vec();
+        write_section(&mut out, tag, payload).unwrap();
+        out.extend_from_slice(&bytes[old.end + 8..]);
+        out
+    }
+
+    /// A 60-object system saved unsharded and as a 2×2 sharded system.
+    fn both_formats() -> (Dataset, Vec<u8>, Vec<u8>) {
+        let (ds, sys) = fixture(60);
+        let config = sys.config().with_num_shards(2);
+        let sharded =
+            ShardedUvSystem::build(ds.objects.clone(), ds.domain, Method::IC, config).unwrap();
+        let mut sharded_bytes = Vec::new();
+        sharded.save_snapshot(&mut sharded_bytes).unwrap();
+        let unsharded_bytes = snapshot_bytes(&sys);
+        (ds, unsharded_bytes, sharded_bytes)
+    }
+
+    #[test]
+    fn forged_invalid_objects_fail_to_load_in_both_formats() {
+        // Each forgery is an object both builds reject. Written over the
+        // object's encoding in OBJECTS (unsharded) or ROUTER (sharded) and
+        // re-framed with valid checksums, it must not load either.
+        let (ds, unsharded, sharded) = both_formats();
+        let victim = &ds.objects[7];
+        let forge = |edit: fn(&mut UncertainObject)| {
+            let mut forged = victim.clone();
+            edit(&mut forged);
+            forged
+        };
+        fn set_bar(o: &mut UncertainObject, k: usize, value: f64) {
+            match &mut o.pdf {
+                Pdf::Histogram { bars } => bars[k] = value,
+                Pdf::Uniform => unreachable!("the paper dataset carries histogram pdfs"),
+            }
+        }
+        let forgeries = [
+            ("a NaN centre", forge(|o| o.region.center.x = f64::NAN)),
+            ("a negative radius", forge(|o| o.region.radius = -5.0)),
+            ("a negative bar", forge(|o| set_bar(o, 0, -0.3))),
+            ("a NaN bar", forge(|o| set_bar(o, 3, f64::NAN))),
+        ];
+        let original = to_bytes(victim);
+        let named = format!("object {}", victim.id);
+        for (what, forged) in forgeries {
+            let forged = to_bytes(&forged);
+            assert_eq!(forged.len(), original.len());
+            for (format, bytes, header) in
+                [("unsharded", &unsharded, 20), ("sharded", &sharded, 12)]
+            {
+                let mut bad = bytes.clone();
+                let at: Vec<usize> = (0..bad.len() - original.len())
+                    .filter(|&i| bad[i..i + original.len()] == original[..])
+                    .collect();
+                assert_eq!(at.len(), 1, "{format}: the object is encoded once");
+                bad[at[0]..at[0] + forged.len()].copy_from_slice(&forged);
+                reframe(&mut bad, header);
+                let result = if header == 20 {
+                    UvSystem::load_snapshot(&mut bad.as_slice()).map(|_| ())
+                } else {
+                    ShardedUvSystem::load_snapshot(&mut bad.as_slice()).map(|_| ())
+                };
+                assert!(
+                    matches!(&result, Err(UvError::SnapshotCorrupt(m)) if m.contains(&named)),
+                    "{format} snapshot with {what}: {result:?}"
+                );
+            }
+        }
+        // The re-framing alone leaves both snapshots loadable.
+        let (mut plain, mut plain_sharded) = (unsharded.clone(), sharded.clone());
+        reframe(&mut plain, 20);
+        reframe(&mut plain_sharded, 12);
+        assert!(UvSystem::load_snapshot(&mut plain.as_slice()).is_ok());
+        assert!(ShardedUvSystem::load_snapshot(&mut plain_sharded.as_slice()).is_ok());
+    }
+
+    #[test]
+    fn version_7_snapshots_are_rejected_in_both_formats() {
+        // Version 7 framed sections with the byte-serial FNV-1a checksum.
+        let (_, mut unsharded, mut sharded) = both_formats();
+        unsharded[8..12].copy_from_slice(&7u32.to_le_bytes());
+        sharded[8..12].copy_from_slice(&7u32.to_le_bytes());
+        let expected = UvError::SnapshotVersionMismatch {
+            found: 7,
+            supported: FORMAT_VERSION,
+        };
+        assert_eq!(FORMAT_VERSION, 8);
+        assert_eq!(
+            UvSystem::load_snapshot(&mut unsharded.as_slice()).unwrap_err(),
+            expected
+        );
+        assert_eq!(
+            ShardedUvSystem::load_snapshot(&mut sharded.as_slice()).unwrap_err(),
+            expected
+        );
+    }
+
+    #[test]
+    fn forged_reference_tables_fail_to_load_in_both_formats() {
+        // The reference table must list every live object once, in
+        // ascending id order. Each forgery breaks that and is framed with a
+        // valid length and checksum: in REF_TABLE (unsharded), and as the
+        // tail of the router state in ROUTER (sharded).
+        let (_, unsharded, sharded) = both_formats();
+        let (_, ref_table) = sections(&unsharded, 20)
+            .into_iter()
+            .find(|(t, _)| *t == tag::REF_TABLE)
+            .unwrap();
+        // The sharded format's second section, after META.
+        let (router_tag, router) = sections(&sharded, 12).swap_remove(1);
+        let router = &sharded[router];
+        // The router state before its table: configuration, method,
+        // domain, epoch and objects.
+        let mut rest = router;
+        UvConfig::read_from(&mut rest).unwrap();
+        Method::read_from(&mut rest).unwrap();
+        Rect::read_from(&mut rest).unwrap();
+        u64::read_from(&mut rest).unwrap();
+        Vec::<UncertainObject>::read_from(&mut rest).unwrap();
+        let router_head = &router[..router.len() - rest.len()];
+        // Each entry's raw bytes, its id first.
+        let entries = |table: &[u8]| -> Vec<Vec<u8>> {
+            let mut r = table;
+            (0..usize::read_from(&mut r).unwrap())
+                .map(|_| {
+                    let entry = r;
+                    u32::read_from(&mut r).unwrap();
+                    read_object_state(Point::new(0.0, 0.0), &mut r).unwrap();
+                    entry[..entry.len() - r.len()].to_vec()
+                })
+                .collect()
+        };
+        let encode = |entries: &[Vec<u8>]| {
+            let mut table = to_bytes(&entries.len());
+            entries.iter().for_each(|e| table.extend_from_slice(e));
+            table
+        };
+        type Forge = fn(&mut Vec<Vec<u8>>);
+        let forgeries: [(&str, Forge, &str); 4] = [
+            (
+                "two swapped entries",
+                |e| e.swap(10, 11),
+                "not strictly ascending",
+            ),
+            (
+                "a duplicated entry",
+                |e| e.insert(11, e[10].clone()),
+                "not strictly ascending",
+            ),
+            (
+                "an entry whose id is not live",
+                |e| {
+                    let last = e.len() - 1;
+                    let id = u32::from_le_bytes(e[last][..4].try_into().unwrap());
+                    e[last][..4].copy_from_slice(&(id + 1).to_le_bytes());
+                },
+                "names unknown object",
+            ),
+            (
+                "a dropped entry",
+                |e| {
+                    e.remove(20);
+                },
+                "does not cover the live object set",
+            ),
+        ];
+        for (format, table) in [("unsharded", &unsharded[ref_table]), ("sharded", rest)] {
+            assert_eq!(
+                encode(&entries(table)),
+                table,
+                "{format}: the table re-encodes"
+            );
+            for (what, forge, expected) in forgeries {
+                let mut forged = entries(table);
+                forge(&mut forged);
+                let result = if format == "unsharded" {
+                    let bad = with_section(&unsharded, 20, tag::REF_TABLE, &encode(&forged));
+                    UvSystem::load_snapshot(&mut bad.as_slice()).map(|_| ())
+                } else {
+                    let state = [router_head, &encode(&forged)].concat();
+                    let bad = with_section(&sharded, 12, router_tag, &state);
+                    ShardedUvSystem::load_snapshot(&mut bad.as_slice()).map(|_| ())
+                };
+                assert!(
+                    matches!(&result, Err(UvError::SnapshotCorrupt(m)) if m.contains(expected)),
+                    "{format} snapshot with {what}: {result:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1098,7 +1351,7 @@ mod tests {
         let bytes = snapshot_bytes(&sys);
 
         // Walk the framing: magic(8) + version(4) + fingerprint(8), then
-        // sections of tag(1) + len(8) + payload + fnv64(8).
+        // sections of tag(1) + len(8) + payload + checksum(8).
         let mut at = 8 + 4 + 8;
         let mut ref_payload_len = None;
         while at < bytes.len() {

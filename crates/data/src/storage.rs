@@ -305,36 +305,45 @@ impl ObjectStore {
         let objects_per_page = (store.page_size() / OBJECT_RECORD_SIZE).max(1);
         let raw_directory: Vec<(u32, u32)> = Vec::read_from(r)?;
         let mut directory = HashMap::with_capacity(raw_directory.len());
-        let mut records: HashMap<PageId, Vec<ObjectId>> = HashMap::new();
-        for (id, page) in raw_directory {
-            let page = PageId(page);
-            if !store.is_allocated(page) {
-                return Err(corrupt(format!(
-                    "object {id} points at page {}, which is not allocated",
-                    page.0
-                )));
-            }
-            if directory.insert(id, page).is_some() {
+        for &(id, page) in &raw_directory {
+            if directory.insert(id, PageId(page)).is_some() {
                 return Err(corrupt(format!(
                     "object {id} appears twice in the directory"
                 )));
             }
-            records.entry(page).or_default().push(id);
         }
+        // Grouped by page, ids ascending within each, so every page is
+        // looked up once and compared with the records it holds.
+        let mut by_page: Vec<(u32, ObjectId)> =
+            raw_directory.iter().map(|&(id, page)| (page, id)).collect();
+        by_page.sort_unstable();
         let mut open = BTreeSet::new();
-        for (page, mut ids) in records {
+        let mut held: Vec<ObjectId> = Vec::with_capacity(objects_per_page);
+        for group in by_page.chunk_by(|a, b| a.0 == b.0) {
+            // `chunk_by` never yields an empty group.
+            let (page, first) = group[0];
+            let page = PageId(page);
+            if !store.is_allocated(page) {
+                return Err(corrupt(format!(
+                    "object {first} points at page {}, which is not allocated",
+                    page.0
+                )));
+            }
             let bytes = store.read_uncounted(page);
-            let mut held: Vec<ObjectId> = bytes
-                .chunks(OBJECT_RECORD_SIZE)
-                .map(|rec| rec.get(0..4).map_or(ObjectId::MAX, record_id))
-                .collect();
-            ids.sort_unstable();
+            held.clear();
+            held.extend(
+                bytes
+                    .chunks(OBJECT_RECORD_SIZE)
+                    .map(|rec| rec.get(0..4).map_or(ObjectId::MAX, record_id)),
+            );
             held.sort_unstable();
-            if !bytes.len().is_multiple_of(OBJECT_RECORD_SIZE) || held != ids {
+            if !bytes.len().is_multiple_of(OBJECT_RECORD_SIZE)
+                || !held.iter().eq(group.iter().map(|(_, id)| id))
+            {
                 return Err(corrupt(format!(
                     "object page {} does not hold exactly the {} records mapped to it",
                     page.0,
-                    ids.len()
+                    group.len()
                 )));
             }
             if has_room(bytes.len(), objects_per_page) {

@@ -14,9 +14,9 @@
 //!   attached to UV-index leaves (`<ID, MBC, pointer>` tuples).
 //! * [`codec`] — the hand-rolled little-endian [`codec::Encode`] /
 //!   [`codec::Decode`] layer of the snapshot subsystem: primitive and
-//!   container codecs, FNV-1a checksums and framed sections. Both storage
-//!   structures persist through it (`PageStore` as raw pages plus its free
-//!   set, `PagedList` via
+//!   container codecs, the word-wide section checksum and framed sections.
+//!   Both storage structures persist through it (`PageStore` as raw pages
+//!   plus its free set, `PagedList` via
 //!   [`PagedList::write_state`] / [`PagedList::read_state`]); I/O counters
 //!   are runtime-only and reset on load.
 //!
@@ -26,6 +26,12 @@
 //! *The paper-to-code map for the whole workspace — every definition, lemma,
 //! algorithm and experiment of the paper, with its module and key functions —
 //! lives in `docs/PAPER_MAP.md` at the repository root.*
+
+// Library code reports corrupt input as an `io::Error`; tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)
+)]
 
 pub mod codec;
 pub mod counter;
