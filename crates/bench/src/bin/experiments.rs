@@ -413,6 +413,7 @@ fn main() {
                 "ops (i/d/m)",
                 "in knn radius",
                 "re-derived",
+                "regions reused",
                 "leaves refined",
                 "total leaves",
                 "refined %",

@@ -286,6 +286,7 @@ pub fn churn_rows(rows: &[ChurnRow]) -> Vec<Vec<String>> {
                 ),
                 r.stats.objects_in_knn_radius.to_string(),
                 r.stats.objects_rederived.to_string(),
+                r.stats.regions_reused.to_string(),
                 r.stats.leaves_refined.to_string(),
                 r.stats.total_leaves.to_string(),
                 format!("{:.1}%", r.stats.refine_fraction() * 100.0),
@@ -317,9 +318,9 @@ pub fn churn_summary_row(s: &ChurnSummary) -> Vec<Vec<String>> {
 mod tests {
     use super::*;
 
-    /// Two ISSUE acceptance criteria over one fixed-seed 1k-object churn
-    /// run (the fixture is expensive — a 1k build plus 5 churn steps plus
-    /// the cold-rebuild oracle — so both assertions share it):
+    /// Three acceptance criteria over one fixed-seed 1k-object churn run
+    /// (the fixture is expensive — a 1k build plus 5 churn steps plus the
+    /// cold-rebuild oracle — so the assertions share it):
     ///
     /// * **Locality** (PR 3): each 1% churn step refines at most 10% of
     ///   the leaves a full rebuild would write, and the final state
@@ -327,6 +328,10 @@ mod tests {
     /// * **Seed-sector prefilter** (PR 4 regression): the re-derivation
     ///   count drops well below the PR-3 k-NN-radius bound (which flagged
     ///   ~30% of 1k objects at k=31), with the same oracle still holding.
+    /// * **Re-pruning fast path**: some re-derivations reuse their stored
+    ///   possible region over the run, and no step reuses more regions
+    ///   than it re-derives — a refactor that silently turns the fast path
+    ///   off fails here.
     #[test]
     fn one_percent_churn_stays_local_and_prefilter_cuts_rederivations() {
         let scale = ExperimentScale {
@@ -347,8 +352,17 @@ mod tests {
                 row.stats.refine_fraction() * 100.0,
                 row.stats.total_leaves,
             );
+            assert!(
+                row.stats.regions_reused <= row.stats.objects_rederived,
+                "step {} reused {} regions of {} re-derivations",
+                row.step,
+                row.stats.regions_reused,
+                row.stats.objects_rederived,
+            );
         }
         assert!(summary.avg_refine_fraction <= 0.10);
+        let reused: usize = rows.iter().map(|r| r.stats.regions_reused).sum();
+        assert!(reused > 0, "no re-derivation reused its stored region");
 
         let rederived: usize = rows.iter().map(|r| r.stats.objects_rederived).sum();
         let in_radius: usize = rows.iter().map(|r| r.stats.objects_in_knn_radius).sum();

@@ -317,7 +317,7 @@ mod tests {
     /// cold merge, after a snapshot round-trip of the non-uniform layout),
     /// no shard derives, the slim-router snapshot beats the reconstructed
     /// router-inclusive total, the load tallies count the routed work and
-    /// the speedup statistic is reported.
+    /// the halos replicate boundary objects.
     #[test]
     fn shard_experiment_verifies_and_reports_overheads() {
         let scale = ExperimentScale {
@@ -342,8 +342,9 @@ mod tests {
             // point, twice before the tallies are captured.
             assert!(report.queries_routed >= 4 * 8);
             assert!(report.updates_routed >= 1);
-            assert!(report.halo_overhead >= 0.0);
-            assert!(report.parallel_speedup > 0.0);
+            // A 2×2 or 3×3 grid replicates the objects its split lines
+            // cross.
+            assert!(report.halo_overhead > 0.0);
             assert!(report.snapshot_bytes > 10_000);
             assert_eq!(report.shard_derivations, 0);
         }

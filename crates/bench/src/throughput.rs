@@ -32,6 +32,9 @@ pub struct ThroughputRow {
     pub qps: f64,
     /// Throughput relative to the sequential loop.
     pub speedup: f64,
+    /// Answer entries (object, probability) returned over the batch: the
+    /// same in every mode, since every mode answers the same queries.
+    pub answers: usize,
 }
 
 /// Result of the trajectory workload.
@@ -88,6 +91,9 @@ pub fn throughput_sweep(
     let sequential: Vec<_> = queries.iter().map(|q| system.pnn(*q)).collect();
     let seq_wall = start.elapsed().as_secs_f64();
     let seq_qps = batch as f64 / seq_wall;
+    let answer_entries = |answers: &[uv_data::PnnAnswer]| -> usize {
+        answers.iter().map(|a| a.probabilities.len()).sum()
+    };
     rows.push(ThroughputRow {
         mode: "sequential loop".to_string(),
         workers: 1,
@@ -95,6 +101,7 @@ pub fn throughput_sweep(
         wall_ms: seq_wall * 1_000.0,
         qps: seq_qps,
         speedup: 1.0,
+        answers: answer_entries(&sequential),
     });
 
     // Only sweep worker counts the hardware can actually run concurrently:
@@ -136,13 +143,14 @@ pub fn throughput_sweep(
             wall_ms: wall * 1_000.0,
             qps,
             speedup: qps / seq_qps,
+            answers: answer_entries(&answers),
         });
     }
 
     // The cache's contribution at the widest fan-out.
     let workers = *worker_counts.last().unwrap_or(&1);
     let engine = system.engine().with_workers(workers).with_cache(false);
-    let (_, wall) = engine.pnn_batch_timed(&queries);
+    let (answers, wall) = engine.pnn_batch_timed(&queries);
     let wall = wall.as_secs_f64();
     let qps = batch as f64 / wall;
     rows.push(ThroughputRow {
@@ -152,6 +160,7 @@ pub fn throughput_sweep(
         wall_ms: wall * 1_000.0,
         qps,
         speedup: qps / seq_qps,
+        answers: answer_entries(&answers),
     });
 
     rows
@@ -247,9 +256,15 @@ mod tests {
         let rows = throughput_sweep(&scale, &dataset, &system);
         assert!(rows.len() >= 3);
         assert_eq!(rows[0].mode, "sequential loop");
+        // Every query point lies in the domain, so each has at least one
+        // answer, and every mode answers the same batch.
+        assert!(rows[0].answers >= 64, "{} answers", rows[0].answers);
         for r in &rows {
-            assert!(r.qps > 0.0);
-            assert!(r.wall_ms > 0.0);
+            assert_eq!(
+                r.answers, rows[0].answers,
+                "{} answered differently",
+                r.mode
+            );
             // No oversubscribed rows: speedups are only reported for worker
             // counts the hardware can run concurrently.
             assert!(r.workers <= r.cores, "oversubscribed row {:?}", r.mode);
@@ -258,7 +273,7 @@ mod tests {
 
         let summary = trajectory_workload(&scale, &dataset, &system);
         assert!(summary.avg_answers >= 1.0);
-        assert!(summary.qps > 0.0);
+        assert_eq!((summary.vehicles, summary.steps), (8, 16));
         assert_eq!(trajectory_table(&summary)[0].len(), 6);
     }
 }

@@ -28,7 +28,7 @@
 
 use crate::cell::build_exact_cell;
 use crate::config::UvConfig;
-use crate::crobjects::{derive_cr_objects_with, UpdateSensitivity};
+use crate::crobjects::{derive_cr_set, UpdateSensitivity};
 use crate::index::{check_overlap, GridNode, UvIndex};
 use crate::pool::{fan_out, parallel_workers};
 use crate::router::DerivationReport;
@@ -72,6 +72,9 @@ pub(crate) struct PerObject {
     pub(crate) prune: PruneStats,
     pub(crate) prune_time: Duration,
     pub(crate) refine_time: Duration,
+    /// `true` when the derivation reused the subject's stored possible
+    /// region instead of clipping one.
+    pub(crate) region_reused: bool,
 }
 
 /// Phase B: the canonical top-down grid over `members`, whose overlap tests
@@ -127,9 +130,13 @@ pub(crate) fn mbcs_of(objects: &[UncertainObject]) -> HashMap<ObjectId, Circle> 
     objects.iter().map(|o| (o.id, o.mbc())).collect()
 }
 
+/// Derives one subject by `method`. `stored` is the subject's stored
+/// sensitivity when the update pipeline judged it
+/// [`crate::ChangeImpact::Reprune`] (see `derive_cr_set`).
 #[allow(clippy::too_many_arguments)]
 fn derive_one(
     subject: &UncertainObject,
+    stored: Option<&UpdateSensitivity>,
     objects: &[UncertainObject],
     by_id: &HashMap<ObjectId, &UncertainObject>,
     rtree: &RTree,
@@ -165,11 +172,12 @@ fn derive_one(
                 },
                 prune_time: Duration::ZERO,
                 refine_time: t.elapsed(),
+                region_reused: false,
             }
         }
         Method::ICR => {
             let t = Instant::now();
-            let cr = derive_cr_objects_with(subject, rtree, objects, domain, config, scratch);
+            let cr = derive_cr_set(subject, rtree, objects, domain, config, scratch, stored);
             let prune_time = t.elapsed();
             let t = Instant::now();
             let cr_objects: Vec<&UncertainObject> = cr
@@ -186,11 +194,12 @@ fn derive_one(
                 prune: cr.stats,
                 prune_time,
                 refine_time,
+                region_reused: cr.region_reused,
             }
         }
         Method::IC => {
             let t = Instant::now();
-            let cr = derive_cr_objects_with(subject, rtree, objects, domain, config, scratch);
+            let cr = derive_cr_set(subject, rtree, objects, domain, config, scratch, stored);
             PerObject {
                 id: subject.id,
                 reference_ids: cr.cr_ids,
@@ -198,22 +207,24 @@ fn derive_one(
                 prune: cr.stats,
                 prune_time: t.elapsed(),
                 refine_time: Duration::ZERO,
+                region_reused: cr.region_reused,
             }
         }
     }
 }
 
-/// Derives the reference objects of `subjects` (a subset of the dataset)
-/// over the crate's worker pool when the configuration is parallel. Called
-/// only by [`crate::router`]: over every object for a full table, over the
-/// affected set per batch.
+/// Derives the reference objects of `subjects` (a subset of the dataset,
+/// each with its stored sensitivity when it is only re-pruned) over the
+/// crate's worker pool when the configuration is parallel. Called only by
+/// [`crate::router`]: over every object for a full table, over the affected
+/// set per batch.
 ///
 /// Participants claim subjects one at a time, so a thread that drew cheap
 /// derivations keeps going while another finishes an expensive one, and
 /// the results come back in subject order: the output is identical to a
 /// sequential pass.
 pub(crate) fn derive_subset(
-    subjects: &[&UncertainObject],
+    subjects: &[(&UncertainObject, Option<&UpdateSensitivity>)],
     objects: &[UncertainObject],
     by_id: &HashMap<ObjectId, &UncertainObject>,
     rtree: &RTree,
@@ -224,8 +235,10 @@ pub(crate) fn derive_subset(
     fan_out(
         parallel_workers(config),
         subjects.to_vec(),
-        |scratch: &mut ClipScratch, o| {
-            derive_one(o, objects, by_id, rtree, domain, config, method, scratch)
+        |scratch: &mut ClipScratch, (o, stored)| {
+            derive_one(
+                o, stored, objects, by_id, rtree, domain, config, method, scratch,
+            )
         },
     )
 }
@@ -458,6 +471,9 @@ pub(crate) fn reconcile_budget(
                     Verdict::Expand(object_ids.clone())
                 }
             }
+            // The walk starts at the root and follows child links, and the
+            // slots reachable from the root are live (see `UvIndex::height`).
+            #[allow(clippy::unreachable)]
             GridNode::Free => unreachable!("free nodes are unreachable from the root"),
         };
         match verdict {

@@ -49,6 +49,16 @@ pub(crate) enum GridNode {
     Free,
 }
 
+impl GridNode {
+    /// The node's canonical member set, id-sorted; a free slot has none.
+    pub(crate) fn members(&self) -> &[ObjectId] {
+        match self {
+            GridNode::Internal { object_ids, .. } | GridNode::Leaf { object_ids, .. } => object_ids,
+            GridNode::Free => &[],
+        }
+    }
+}
+
 /// One leaf of [`UvIndex::canonical_leaves`]: the region's corner
 /// coordinates as raw `f64` bits plus the id-sorted member list.
 pub type CanonicalLeaf = ((u64, u64, u64, u64), Vec<ObjectId>);
@@ -218,6 +228,10 @@ impl UvIndex {
                         .max()
                         .unwrap_or(0)
                 }
+                // Every builder, repair and load leaves the slots reachable
+                // from the root live (the loader rejects a grid that
+                // reaches a free slot).
+                #[allow(clippy::unreachable)]
                 GridNode::Free => unreachable!("free nodes are unreachable from the root"),
             }
         }
@@ -280,6 +294,8 @@ impl UvIndex {
         loop {
             match &self.nodes[node] {
                 GridNode::Leaf { .. } => return Some(node),
+                // As in `height`: the slots reachable from the root are live.
+                #[allow(clippy::unreachable)]
                 GridNode::Free => unreachable!("free nodes are unreachable from the root"),
                 GridNode::Internal { children, .. } => {
                     let region = self.node_regions[node];
@@ -299,11 +315,12 @@ impl UvIndex {
 
     /// Reads the page list of leaf node `leaf`, returning the entries
     /// together with the number of leaf pages read (charged to the I/O
-    /// counters by the underlying [`PagedList::read_all`]).
+    /// counters by the underlying [`PagedList::read_all`]). A slot that
+    /// holds no leaf holds no entries: it reads as empty, with no page read.
     pub(crate) fn leaf_entries(&self, leaf: usize) -> (Vec<ObjectEntry>, u64) {
         match &self.nodes[leaf] {
             GridNode::Leaf { list, .. } => (list.read_all(), list.num_pages() as u64),
-            _ => unreachable!("leaf_entries is only called on leaves"),
+            GridNode::Internal { .. } | GridNode::Free => (Vec::new(), 0),
         }
     }
 

@@ -80,7 +80,12 @@
 // tests may panic.
 #![cfg_attr(
     not(test),
-    deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)
+    deny(
+        clippy::panic,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable
+    )
 )]
 
 pub mod builder;

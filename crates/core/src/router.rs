@@ -36,8 +36,13 @@
 //!    store;
 //! 5. grow the domain in place when the difference left it, re-deriving
 //!    every object (the derivation is domain-seeded);
-//! 6. expand the affected set through the sensitivity bounds;
-//! 7. re-derive it with `crate::builder::derive_subset`;
+//! 6. expand the affected set through the sensitivity bounds, judging each
+//!    subject a full re-derivation or a re-pruning ([`ChangeImpact`]);
+//! 7. re-derive it with `crate::builder::derive_subset`, handing each
+//!    re-pruned subject its stored sensitivity: when its fresh seeds are the
+//!    stored ones, the derivation reuses the stored possible region and runs
+//!    no clip (see [`crate::UpdateSensitivity`]). Debug builds also derive
+//!    every such subject in full and assert bit-equal results;
 //! 8. diff the derivations into the dirty set — the live objects whose
 //!    Algorithm 5 overlap inputs changed.
 //!
@@ -71,7 +76,7 @@
 
 use crate::builder::{derive_subset, Method};
 use crate::config::UvConfig;
-use crate::crobjects::ChangeImpact;
+use crate::crobjects::{ChangeImpact, UpdateSensitivity};
 use crate::snapshot::{read_ref_table, write_ref_table};
 use crate::update::{
     grow_domain, validate_domain, validate_object, validate_objects, ObjectState, RefTable,
@@ -118,7 +123,7 @@ fn derive_table(
     // One id -> object map for the whole pass: ICR refinement resolves every
     // cr-id through it instead of scanning `objects` per id.
     let by_id: HashMap<ObjectId, &UncertainObject> = objects.iter().map(|o| (o.id, o)).collect();
-    let subjects: Vec<&UncertainObject> = objects.iter().collect();
+    let subjects: Vec<_> = objects.iter().map(|o| (o, None)).collect();
     let per_object = derive_subset(&subjects, objects, &by_id, rtree, domain, config, method);
     let wall = t.elapsed();
 
@@ -548,9 +553,15 @@ impl DerivationRouter {
         }
 
         // ---- 6. Affected objects -----------------------------------------
+        // `affected` maps each subject to re-derive to its stored
+        // sensitivity when it is only re-pruned, `None` when it re-derives
+        // in full — as the batch's own changed and inserted objects do.
         let changed_set: HashSet<ObjectId> = changed.iter().copied().collect();
         let inserted_set: HashSet<ObjectId> = inserted.iter().copied().collect();
-        let mut affected: HashSet<ObjectId> = changed_set.union(&inserted_set).copied().collect();
+        let mut affected: HashMap<ObjectId, Option<&UpdateSensitivity>> = changed_set
+            .union(&inserted_set)
+            .map(|id| (*id, None))
+            .collect();
         stats.objects_in_knn_radius = affected.len();
         // Subjects whose reference id list is provably unchanged but whose
         // referenced geometry moved: grid repair without re-derivation.
@@ -558,35 +569,35 @@ impl DerivationRouter {
         // the references' geometry, so its derivation must repeat).
         let mut repartition_only: Vec<ObjectId> = Vec::new();
         for o in &self.objects {
-            if affected.contains(&o.id) {
+            if affected.contains_key(&o.id) {
                 continue;
             }
             let sensitivity = &self.ref_table[&o.id].sensitivity;
             let c = o.center();
+            let removals = removed_mbcs
+                .iter()
+                .map(|m| sensitivity.removed_impact(c, m));
+            let additions = added_mbcs.iter().map(|m| sensitivity.added_impact(c, m));
+            let moves = moved_mbcs
+                .iter()
+                .map(|(old, new)| sensitivity.move_impact(c, old, new));
             let mut impact = ChangeImpact::Unaffected;
-            for mbc in &removed_mbcs {
-                if sensitivity.affected_by_removed(c, mbc) {
-                    impact = ChangeImpact::Rederive;
+            for verdict in removals.chain(additions).chain(moves) {
+                impact = impact.max(verdict);
+                if impact == ChangeImpact::Rederive {
                     break;
                 }
             }
-            for mbc in &added_mbcs {
-                if impact < ChangeImpact::Rederive && sensitivity.affected_by_added(c, mbc) {
-                    impact = ChangeImpact::Rederive;
-                }
-            }
-            for (old, new) in &moved_mbcs {
-                if impact < ChangeImpact::Rederive {
-                    let mut verdict = sensitivity.move_impact(c, old, new);
-                    if verdict == ChangeImpact::RepartitionOnly && self.method != Method::IC {
-                        verdict = ChangeImpact::Rederive;
-                    }
-                    impact = impact.max(verdict);
-                }
+            if impact == ChangeImpact::RepartitionOnly && self.method != Method::IC {
+                impact = ChangeImpact::Reprune;
             }
             match impact {
                 ChangeImpact::Rederive => {
-                    affected.insert(o.id);
+                    affected.insert(o.id, None);
+                    stats.objects_in_knn_radius += 1;
+                }
+                ChangeImpact::Reprune => {
+                    affected.insert(o.id, Some(sensitivity));
                     stats.objects_in_knn_radius += 1;
                 }
                 ChangeImpact::RepartitionOnly => {
@@ -612,10 +623,10 @@ impl DerivationRouter {
         // ---- 7. Re-derive the affected objects ---------------------------
         let by_id: HashMap<ObjectId, &UncertainObject> =
             self.objects.iter().map(|o| (o.id, o)).collect();
-        let subjects: Vec<&UncertainObject> = self
+        let subjects: Vec<(&UncertainObject, Option<&UpdateSensitivity>)> = self
             .objects
             .iter()
-            .filter(|o| affected.contains(&o.id))
+            .filter_map(|o| affected.get(&o.id).map(|stored| (o, *stored)))
             .collect();
         let derived = derive_subset(
             &subjects,
@@ -626,7 +637,10 @@ impl DerivationRouter {
             &self.config,
             self.method,
         );
+        #[cfg(debug_assertions)]
+        self.cross_check_reused(&subjects, &derived, &by_id);
         stats.objects_rederived = derived.len();
+        stats.regions_reused = derived.iter().filter(|p| p.region_reused).count();
         self.derivations += derived.len() as u64;
 
         // ---- 8. Diff derivations into the dirty set ----------------------
@@ -673,6 +687,45 @@ impl DerivationRouter {
             dirty,
             regrown: None,
         })
+    }
+
+    /// The oracle of the re-pruning fast path: derives every subject of
+    /// `subjects` whose derivation reused its stored region again in full,
+    /// and asserts bit-equal reference ids, pruning statistics and
+    /// sensitivity.
+    #[cfg(debug_assertions)]
+    fn cross_check_reused(
+        &self,
+        subjects: &[(&UncertainObject, Option<&UpdateSensitivity>)],
+        derived: &[crate::builder::PerObject],
+        by_id: &HashMap<ObjectId, &UncertainObject>,
+    ) {
+        let reused: Vec<(&UncertainObject, Option<&UpdateSensitivity>)> = subjects
+            .iter()
+            .zip(derived)
+            .filter(|(_, p)| p.region_reused)
+            .map(|((o, _), _)| (*o, None))
+            .collect();
+        let full = derive_subset(
+            &reused,
+            &self.objects,
+            by_id,
+            &self.rtree,
+            &self.domain,
+            &self.config,
+            self.method,
+        );
+        for (p, f) in derived.iter().filter(|p| p.region_reused).zip(&full) {
+            debug_assert_eq!(p.id, f.id);
+            debug_assert_eq!(p.reference_ids, f.reference_ids, "references of {}", p.id);
+            debug_assert_eq!(p.prune, f.prune, "pruning statistics of {}", p.id);
+            debug_assert_eq!(
+                p.sensitivity.to_bits(),
+                f.sensitivity.to_bits(),
+                "sensitivity of {}",
+                p.id
+            );
+        }
     }
 
     /// Serialises the router's persistent state: config, method, domain,

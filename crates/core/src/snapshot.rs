@@ -423,8 +423,9 @@ fn write_index<W: Write + ?Sized>(index: &UvIndex, w: &mut W) -> io::Result<()> 
 }
 
 /// Reconstructs the grid over an already-loaded page `store`. Child and
-/// free-slot references are validated so corrupt input errors out instead
-/// of panicking in a later `locate_leaf`.
+/// free-slot references are validated, and the slots reachable from the
+/// root must form a tree of live nodes, so corrupt input errors out instead
+/// of panicking or looping in a later `locate_leaf`.
 fn read_index<R: Read + ?Sized>(
     store: Arc<PageStore>,
     domain: Rect,
@@ -479,8 +480,26 @@ fn read_index<R: Read + ?Sized>(
             return Err(corrupt(format!("free slot {slot} names a live node")));
         }
     }
-    if matches!(nodes[0], GridNode::Free) {
-        return Err(corrupt("the root node is free"));
+    // Every slot reachable from the root must be live and reached once: the
+    // grid walks (leaf location, repair, budget replay) would otherwise
+    // panic on a free slot or loop forever on a cycle.
+    let mut reached = vec![false; nodes.len()];
+    let mut stack = vec![0usize];
+    while let Some(node) = stack.pop() {
+        if std::mem::replace(&mut reached[node], true) {
+            return Err(corrupt(format!("grid slot {node} is reached twice")));
+        }
+        match &nodes[node] {
+            GridNode::Internal { children, .. } => {
+                stack.extend(children.iter().map(|c| *c as usize));
+            }
+            GridNode::Leaf { .. } => {}
+            GridNode::Free => {
+                return Err(corrupt(format!(
+                    "grid slot {node} is free but reachable from the root"
+                )))
+            }
+        }
     }
     ensure_disjoint(nodes.iter().filter_map(|node| match node {
         GridNode::Leaf { list, .. } => Some(list),
@@ -1072,6 +1091,57 @@ mod tests {
         let err =
             read_index(store, sys.domain(), *sys.config(), &mut state.as_slice()).unwrap_err();
         assert!(err.to_string().contains("two page lists"), "{err}");
+    }
+
+    #[test]
+    fn a_grid_that_reaches_a_free_slot_or_a_node_twice_fails_to_load() {
+        // The grid walks (leaf location, repair, budget replay) rely on
+        // every slot reachable from the root being live and reached once.
+        let (_, sys) = fixture(150);
+        let GridNode::Internal { children, .. } = &sys.index.nodes[0] else {
+            panic!("a 150-object grid at leaf capacity 16 splits its root");
+        };
+        let children = *children;
+        let forge = |edit: &dyn Fn(&mut UvIndex)| {
+            let mut state = Vec::new();
+            write_index(&sys.index, &mut state).unwrap();
+            let store = Arc::clone(sys.index.store());
+            let mut index = read_index(store, sys.domain(), *sys.config(), &mut state.as_slice())
+                .expect("the unforged grid loads");
+            edit(&mut index);
+            let mut forged = Vec::new();
+            write_index(&index, &mut forged).unwrap();
+            let store = Arc::clone(index.store());
+            read_index(store, sys.domain(), *sys.config(), &mut forged.as_slice())
+                .map(|_| ())
+                .unwrap_err()
+                .to_string()
+        };
+        // A child link to a free slot (the orphaned child stays live).
+        let err = forge(&|index: &mut UvIndex| {
+            index.nodes.push(GridNode::Free);
+            index
+                .node_regions
+                .push(index.node_regions[children[0] as usize]);
+            if let GridNode::Internal { children, .. } = &mut index.nodes[0] {
+                children[0] = (index.node_regions.len() - 1) as u32;
+            }
+        });
+        assert!(err.contains("free"), "{err}");
+        // A child link back to the root: a cycle.
+        let err = forge(&|index: &mut UvIndex| {
+            if let GridNode::Internal { children, .. } = &mut index.nodes[0] {
+                children[1] = 0;
+            }
+        });
+        assert!(err.contains("twice"), "{err}");
+        // Two parents sharing one child.
+        let err = forge(&|index: &mut UvIndex| {
+            if let GridNode::Internal { children, .. } = &mut index.nodes[0] {
+                children[1] = children[0];
+            }
+        });
+        assert!(err.contains("twice"), "{err}");
     }
 
     #[test]

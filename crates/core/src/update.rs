@@ -212,6 +212,11 @@ pub struct UpdateStats {
     pub moved: usize,
     /// Objects whose reference derivation was repeated (affected set).
     pub objects_rederived: usize,
+    /// Re-derivations among [`UpdateStats::objects_rederived`] that reused
+    /// the subject's stored possible region and ran no clip: subjects only
+    /// re-pruned ([`crate::ChangeImpact::Reprune`]) whose fresh seeds were
+    /// their stored ones.
+    pub regions_reused: usize,
     /// Objects the plain k-NN-radius bound alone (the PR-3 rule, without
     /// the seed-sector prefilter) would have re-derived. The difference to
     /// [`UpdateStats::objects_rederived`] is the work the prefilter skipped.
@@ -441,12 +446,8 @@ impl UvSystem {
         // ---- 9. Localized grid repair ------------------------------------
         // Root-level delta classification.
         let domain = self.router.domain;
-        let root_members: HashSet<ObjectId> = match &self.index.nodes[0] {
-            GridNode::Leaf { object_ids, .. } | GridNode::Internal { object_ids, .. } => {
-                object_ids.iter().copied().collect()
-            }
-            GridNode::Free => unreachable!("the root is never free"),
-        };
+        let root_members: HashSet<ObjectId> =
+            self.index.nodes[0].members().iter().copied().collect();
         let mut added_root: Vec<ObjectId> = Vec::new();
         let mut removed_root: Vec<ObjectId> = Vec::new();
         let mut changed_root: Vec<ObjectId> = Vec::new();
@@ -671,13 +672,8 @@ impl Repairer<'_> {
                 for k in 0..4 {
                     let child = children[k] as usize;
                     let child_region = index.node_regions[child];
-                    let members: HashSet<ObjectId> = match &index.nodes[child] {
-                        GridNode::Leaf { object_ids, .. }
-                        | GridNode::Internal { object_ids, .. } => {
-                            object_ids.iter().copied().collect()
-                        }
-                        GridNode::Free => unreachable!("children are never free"),
-                    };
+                    let members: HashSet<ObjectId> =
+                        index.nodes[child].members().iter().copied().collect();
                     for id in added {
                         if self.ctx.overlaps(*id, &child_region) {
                             child_added[k].push(*id);
@@ -725,6 +721,9 @@ impl Repairer<'_> {
                     make_leaf(index, node, new_members, &self.ctx, &mut self.grow);
                 }
             }
+            // The repair descends from the root along child links, and the
+            // slots reachable from the root are live (see `UvIndex::height`).
+            #[allow(clippy::unreachable)]
             GridNode::Free => unreachable!("free nodes are unreachable from the root"),
         }
     }

@@ -43,8 +43,8 @@ static ALLOCATOR: Counting = Counting;
 /// The largest grid dimension META accepts per axis.
 const SIDE: usize = 1_024;
 
-/// Reads one framed section (`tag | len u64 | payload | fnv64`) off the
-/// front of `bytes`, returning its full frame.
+/// Reads one framed section (`tag | len u64 | payload | section_checksum`)
+/// off the front of `bytes`, returning its full frame.
 fn take_frame<'a>(bytes: &mut &'a [u8]) -> &'a [u8] {
     let len = u64::from_le_bytes(bytes[1..9].try_into().expect("8 length bytes")) as usize;
     let (frame, rest) = bytes.split_at(9 + len + 8);
