@@ -192,23 +192,15 @@ pub fn trajectory_workload(
 ) -> TrajectorySummary {
     let vehicles = 8usize;
     let steps = scale.queries.clamp(16, 256);
-    let waypoints = dataset.query_points(vehicles * 2, 99);
+    let paths = vehicle_paths(dataset, vehicles, steps);
 
     let engine = system.engine();
     let start = Instant::now();
     let mut total_answers = 0usize;
     let mut total_churn = 0usize;
     let mut unchanged = 0usize;
-    for v in 0..vehicles {
-        let from = waypoints[2 * v];
-        let to = waypoints[2 * v + 1];
-        let path: Vec<Point> = (0..steps)
-            .map(|i| {
-                let t = i as f64 / (steps - 1).max(1) as f64;
-                Point::new(from.x + (to.x - from.x) * t, from.y + (to.y - from.y) * t)
-            })
-            .collect();
-        for step in engine.pnn_trajectory(&path) {
+    for path in &paths {
+        for step in engine.pnn_trajectory(path) {
             total_answers += step.answer.probabilities.len();
             total_churn += step.delta.churn();
             if step.delta.is_unchanged() {
@@ -226,6 +218,24 @@ pub fn trajectory_workload(
         unchanged_fraction: unchanged as f64 / total_steps as f64,
         qps: total_steps as f64 / wall,
     }
+}
+
+/// The path of each of `vehicles` simulated vehicles: `steps` evenly
+/// spaced points on the segment between two waypoints of `dataset`.
+fn vehicle_paths(dataset: &Dataset, vehicles: usize, steps: usize) -> Vec<Vec<Point>> {
+    let waypoints = dataset.query_points(vehicles * 2, 99);
+    waypoints
+        .chunks_exact(2)
+        .map(|leg| {
+            let (from, to) = (leg[0], leg[1]);
+            (0..steps)
+                .map(|i| {
+                    let t = i as f64 / (steps - 1).max(1) as f64;
+                    Point::new(from.x + (to.x - from.x) * t, from.y + (to.y - from.y) * t)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Formats the [`TrajectorySummary`] for `print_table`.
@@ -273,7 +283,17 @@ mod tests {
 
         let summary = trajectory_workload(&scale, &dataset, &system);
         assert!(summary.avg_answers >= 1.0);
-        assert_eq!((summary.vehicles, summary.steps), (8, 16));
+        // Each trajectory step answers as the point lookup at its position.
+        let lookups: usize = vehicle_paths(&dataset, summary.vehicles, summary.steps)
+            .iter()
+            .flatten()
+            .map(|q| system.pnn(*q).probabilities.len())
+            .sum();
+        let steps = summary.vehicles * summary.steps;
+        assert_eq!(
+            summary.avg_answers.to_bits(),
+            (lookups as f64 / steps as f64).to_bits()
+        );
         assert_eq!(trajectory_table(&summary)[0].len(), 6);
     }
 }

@@ -399,7 +399,7 @@ impl UpdateSensitivity {
     /// Every float of the state as raw bits, with the two vector lengths:
     /// the bit-exact comparison the update pipeline's debug cross-check
     /// makes between a re-pruned and a fully derived state.
-    #[cfg(debug_assertions)]
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn to_bits(&self) -> Vec<u64> {
         let lengths = [self.seed_dists.len(), self.d_bounds.len()].map(|n| n as u64);
         let floats = [self.knn_dist, self.prune_radius]

@@ -49,16 +49,6 @@ pub(crate) enum GridNode {
     Free,
 }
 
-impl GridNode {
-    /// The node's canonical member set, id-sorted; a free slot has none.
-    pub(crate) fn members(&self) -> &[ObjectId] {
-        match self {
-            GridNode::Internal { object_ids, .. } | GridNode::Leaf { object_ids, .. } => object_ids,
-            GridNode::Free => &[],
-        }
-    }
-}
-
 /// One leaf of [`UvIndex::canonical_leaves`]: the region's corner
 /// coordinates as raw `f64` bits plus the id-sorted member list.
 pub type CanonicalLeaf = ((u64, u64, u64, u64), Vec<ObjectId>);
@@ -315,12 +305,13 @@ impl UvIndex {
 
     /// Reads the page list of leaf node `leaf`, returning the entries
     /// together with the number of leaf pages read (charged to the I/O
-    /// counters by the underlying [`PagedList::read_all`]). A slot that
-    /// holds no leaf holds no entries: it reads as empty, with no page read.
+    /// counters by the underlying [`PagedList::read_all`]).
     pub(crate) fn leaf_entries(&self, leaf: usize) -> (Vec<ObjectEntry>, u64) {
         match &self.nodes[leaf] {
             GridNode::Leaf { list, .. } => (list.read_all(), list.num_pages() as u64),
-            GridNode::Internal { .. } | GridNode::Free => (Vec::new(), 0),
+            // Every caller passes a `locate_leaf` result, which is a leaf.
+            #[allow(clippy::unreachable)]
+            _ => unreachable!("leaf_entries is only called on leaves"),
         }
     }
 

@@ -446,8 +446,14 @@ impl UvSystem {
         // ---- 9. Localized grid repair ------------------------------------
         // Root-level delta classification.
         let domain = self.router.domain;
-        let root_members: HashSet<ObjectId> =
-            self.index.nodes[0].members().iter().copied().collect();
+        let root_members: HashSet<ObjectId> = match &self.index.nodes[0] {
+            GridNode::Leaf { object_ids, .. } | GridNode::Internal { object_ids, .. } => {
+                object_ids.iter().copied().collect()
+            }
+            // Every build, repair and load keeps the root live.
+            #[allow(clippy::unreachable)]
+            GridNode::Free => unreachable!("the root is never free"),
+        };
         let mut added_root: Vec<ObjectId> = Vec::new();
         let mut removed_root: Vec<ObjectId> = Vec::new();
         let mut changed_root: Vec<ObjectId> = Vec::new();
@@ -672,8 +678,16 @@ impl Repairer<'_> {
                 for k in 0..4 {
                     let child = children[k] as usize;
                     let child_region = index.node_regions[child];
-                    let members: HashSet<ObjectId> =
-                        index.nodes[child].members().iter().copied().collect();
+                    let members: HashSet<ObjectId> = match &index.nodes[child] {
+                        GridNode::Leaf { object_ids, .. }
+                        | GridNode::Internal { object_ids, .. } => {
+                            object_ids.iter().copied().collect()
+                        }
+                        // As below: the slots reachable from the root are
+                        // live (see `UvIndex::height`).
+                        #[allow(clippy::unreachable)]
+                        GridNode::Free => unreachable!("children are never free"),
+                    };
                     for id in added {
                         if self.ctx.overlaps(*id, &child_region) {
                             child_added[k].push(*id);
